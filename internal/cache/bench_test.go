@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vsnoop/internal/mem"
+	"vsnoop/internal/sim"
 )
 
 func benchCache() *Cache {
@@ -58,3 +59,44 @@ func BenchmarkFlushVM(b *testing.B) {
 		c.FlushVM(1)
 	}
 }
+
+// BenchmarkLookupMachineFootprint looks up blocks across the private
+// caches of a Table II machine: 16 cores, each with a 32 KB 4-way L1 and a
+// 256 KB 8-way L2, about 3 MB of cache arrays in all, so the lookups
+// stream through more than a host core's private caches the way a
+// simulated run does. Each iteration probes one core's L1 and then its L2
+// with a mix of hits and misses.
+func BenchmarkLookupMachineFootprint(b *testing.B) {
+	const cores = 16
+	l1s, l2s := make([]*Cache, cores), make([]*Cache, cores)
+	for i := range l1s {
+		l1s[i] = New(Config{Name: "L1", SizeBytes: 32 * 1024, Ways: 4, BlockBytes: 64, HitLatency: 2})
+		l2s[i] = New(Config{Name: "L2", SizeBytes: 256 * 1024, Ways: 8, BlockBytes: 64, HitLatency: 10})
+		for a := 0; a < 4096; a++ {
+			l2s[i].Insert(mem.BlockAddr(a), 1)
+			if a < 512 {
+				l1s[i].Insert(mem.BlockAddr(a), 1)
+			}
+		}
+	}
+	r := sim.NewRand(1)
+	addrs := make([]mem.BlockAddr, 1<<16)
+	for i := range addrs {
+		addrs[i] = mem.BlockAddr(r.Intn(6144)) // two thirds L2-resident
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := i & (cores - 1)
+		a := addrs[i&(len(addrs)-1)]
+		if l1s[c].Lookup(a) != nil {
+			hits++
+		}
+		if l2s[c].Lookup(a) != nil {
+			hits++
+		}
+	}
+	benchSink = hits
+}
+
+var benchSink int

@@ -39,21 +39,23 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Block is one cache line. Token-coherence state (Section V: Token
-// Coherence, MOESI) is carried as a token count plus owner and dirty
-// flags; the classic MOESI letter is derived on demand.
+// Block is one cache line's state. Token-coherence state (Section V:
+// Token Coherence, MOESI) is carried as a token count plus owner and dirty
+// flags; the classic MOESI letter is derived on demand. The tag match
+// itself scans the cache's packed tag array, and recency lives in a
+// parallel array, so a Block is only read once a way has matched. The
+// field order packs the flags behind VM, keeping a Block at 24 bytes.
 type Block struct {
 	Addr   mem.BlockAddr
-	Valid  bool
 	Tokens int
+	VM     mem.VMID // VM identifier in the tag (virtual snooping extension)
+	Valid  bool
 	Owner  bool // holds the owner token (data-provider responsibility)
 	Dirty  bool
-	VM     mem.VMID // VM identifier in the tag (virtual snooping extension)
 	// Provider marks this copy as its VM's designated data provider for an
 	// RO-shared (content-shared) block, so intra-VM and friend-VM requests
 	// get exactly one cache response (paper Section VI.B).
 	Provider bool
-	lru      uint64
 }
 
 // State is the derived MOESI state of a block.
@@ -100,11 +102,24 @@ type EvictInfo struct {
 
 // Cache is one set-associative cache. It is not safe for concurrent use;
 // the simulation engine is single-threaded by design.
+//
+// Storage is three parallel flat arrays indexed by way, set s occupying
+// [s*ways, (s+1)*ways): tags holds Addr+1 for a valid block and 0 for an
+// invalid one (the valid bit folded into the tag word, so an 8-way set's
+// tags fill one host cache line), blocks holds the coherence state, and
+// lru the recency stamps. tags[i] != 0 exactly when blocks[i].Valid, and
+// then tags[i] == blocks[i].Addr+1.
 type Cache struct {
 	cfg     Config
-	sets    [][]Block
+	ways    int
+	tags    []uint64
+	blocks  []Block
+	lru     []uint64
 	setMask uint64
 	tick    uint64
+	// hit is the way index of the last Lookup hit: Touch's fast path for
+	// the usual Lookup-then-Touch sequence.
+	hit int
 
 	// resident is the per-VM residence counter file, a flat array indexed
 	// by mem.DenseVM (the hardware analogue: one small counter register per
@@ -148,14 +163,13 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.SizeBytes / (cfg.Ways * cfg.BlockBytes)
-	sets := make([][]Block, nSets)
-	backing := make([]Block, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
+	n := nSets * cfg.Ways
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
+		ways:    cfg.Ways,
+		tags:    make([]uint64, n),
+		blocks:  make([]Block, n),
+		lru:     make([]uint64, n),
 		setMask: uint64(nSets - 1),
 	}
 }
@@ -164,24 +178,44 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return int(c.setMask) + 1 }
 
 func (c *Cache) setIndex(a mem.BlockAddr) uint64 { return uint64(a) & c.setMask }
+
+// tagOf is the packed tag word of a valid block at a.
+func tagOf(a mem.BlockAddr) uint64 { return uint64(a) + 1 }
+
+// way returns the way index holding b, which must be a valid block of
+// this cache.
+func (c *Cache) way(b *Block) int {
+	if i := c.hit; &c.blocks[i] == b {
+		return i
+	}
+	base := int(c.setIndex(b.Addr)) * c.ways
+	for i := base; i < base+c.ways; i++ {
+		if &c.blocks[i] == b {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("cache %s: block %d is not resident", c.cfg.Name, b.Addr))
+}
 
 // Lookup returns the block holding addr with nonzero validity, or nil.
 // It does not update LRU state; callers decide whether an access counts
 // as a use (snoop probes do not).
 func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 	s := c.setIndex(a)
-	set := c.sets[s]
-	for i := range set {
-		if set[i].Valid && set[i].Addr == a {
+	base := int(s) * c.ways
+	t := tagOf(a)
+	for i, tag := range c.tags[base : base+c.ways] {
+		if tag == t {
 			if c.jn != nil {
 				// The caller may mutate the returned block in place, so the
 				// hit journals its set's pre-image.
 				c.jsave(s)
 			}
-			return &set[i]
+			c.hit = base + i
+			return &c.blocks[base+i]
 		}
 	}
 	return nil
@@ -189,11 +223,12 @@ func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 
 // Touch marks b most-recently used.
 func (c *Cache) Touch(b *Block) {
+	i := c.way(b)
 	if c.jn != nil {
 		c.jsave(c.setIndex(b.Addr))
 	}
 	c.tick++
-	b.lru = c.tick
+	c.lru[i] = c.tick
 }
 
 // Resident returns the residence counter for vm: the number of valid
@@ -259,41 +294,52 @@ func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo
 	if c.jn != nil {
 		c.jsave(s)
 	}
-	set := c.sets[s]
-	var slot *Block
-	for i := range set {
-		if set[i].Valid && set[i].Addr == a {
+	base := int(s) * c.ways
+	t := tagOf(a)
+	slot := -1
+	for i, tag := range c.tags[base : base+c.ways] {
+		if tag == t {
 			panic(fmt.Sprintf("cache %s: double insert of block %d", c.cfg.Name, a))
 		}
-		if !set[i].Valid && slot == nil {
-			slot = &set[i]
+		if tag == 0 && slot < 0 {
+			slot = base + i
 		}
 	}
-	if slot == nil {
-		slot = &set[0]
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < slot.lru {
-				slot = &set[i]
+	if slot < 0 {
+		slot = base
+		for i := base + 1; i < base+c.ways; i++ {
+			if c.lru[i] < c.lru[slot] {
+				slot = i
 			}
 		}
-		victim = EvictInfo{Addr: slot.Addr, Tokens: slot.Tokens, Owner: slot.Owner, Dirty: slot.Dirty, VM: slot.VM}
+		v := &c.blocks[slot]
+		victim = EvictInfo{Addr: v.Addr, Tokens: v.Tokens, Owner: v.Owner, Dirty: v.Dirty, VM: v.VM}
 		evicted = true
 		// Clear the slot before firing callbacks so reentrant operations
 		// (e.g. a residence-triggered FlushVM) never see the victim as
 		// still valid.
-		*slot = Block{}
+		c.clearWay(slot)
 		c.decResident(victim.VM)
 		if c.OnDrop != nil {
 			c.OnDrop(victim.Addr)
 		}
 	}
 	c.tick++
-	*slot = Block{Addr: a, Valid: true, VM: vm, lru: c.tick}
+	c.blocks[slot] = Block{Addr: a, Valid: true, VM: vm}
+	c.tags[slot] = t
+	c.lru[slot] = c.tick
 	c.incResident(vm)
 	if c.OnInsert != nil {
 		c.OnInsert(a, vm)
 	}
-	return slot, victim, evicted
+	return &c.blocks[slot], victim, evicted
+}
+
+// clearWay invalidates way i in all three arrays.
+func (c *Cache) clearWay(i int) {
+	c.blocks[i] = Block{}
+	c.tags[i] = 0
+	c.lru[i] = 0
 }
 
 // Invalidate removes b from the cache (e.g. all tokens taken by a GETX)
@@ -302,13 +348,19 @@ func (c *Cache) Invalidate(b *Block) EvictInfo {
 	if !b.Valid {
 		panic(fmt.Sprintf("cache %s: invalidate of invalid block", c.cfg.Name))
 	}
+	return c.invalidateWay(c.way(b))
+}
+
+// invalidateWay is Invalidate on a valid way index.
+func (c *Cache) invalidateWay(i int) EvictInfo {
+	b := &c.blocks[i]
 	if c.jn != nil {
 		c.jsave(c.setIndex(b.Addr))
 	}
 	info := EvictInfo{Addr: b.Addr, Tokens: b.Tokens, Owner: b.Owner, Dirty: b.Dirty, VM: b.VM}
 	// Clear before callbacks: a reentrant FlushVM from a residence trigger
 	// must not double-invalidate this block.
-	*b = Block{}
+	c.clearWay(i)
 	c.decResident(info.VM)
 	if c.OnDrop != nil {
 		c.OnDrop(info.Addr)
@@ -321,14 +373,11 @@ func (c *Cache) Invalidate(b *Block) EvictInfo {
 // must reach memory so it holds a clean copy).
 func (c *Cache) FlushPage(p mem.HostPage) []EvictInfo {
 	var out []EvictInfo
-	lo := mem.BlockInPage(p, 0)
-	hi := mem.BlockInPage(p, mem.BlocksPerPage-1)
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].Valid && set[i].Addr >= lo && set[i].Addr <= hi {
-				out = append(out, c.Invalidate(&set[i]))
-			}
+	lo := tagOf(mem.BlockInPage(p, 0))
+	hi := tagOf(mem.BlockInPage(p, mem.BlocksPerPage-1))
+	for i, tag := range c.tags {
+		if tag >= lo && tag <= hi {
+			out = append(out, c.invalidateWay(i))
 		}
 	}
 	return out
@@ -338,12 +387,9 @@ func (c *Cache) FlushPage(p mem.HostPage) []EvictInfo {
 // alternative discussed in Section IV.B) and returns their states.
 func (c *Cache) FlushVM(vm mem.VMID) []EvictInfo {
 	var out []EvictInfo
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].Valid && set[i].VM == vm {
-				out = append(out, c.Invalidate(&set[i]))
-			}
+	for i, tag := range c.tags {
+		if tag != 0 && c.blocks[i].VM == vm {
+			out = append(out, c.invalidateWay(i))
 		}
 	}
 	return out
@@ -376,12 +422,9 @@ func (c *Cache) ForEachValid(fn func(*Block)) {
 	if c.jn != nil {
 		c.jsaveAll()
 	}
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].Valid {
-				fn(&set[i])
-			}
+	for i, tag := range c.tags {
+		if tag != 0 {
+			fn(&c.blocks[i])
 		}
 	}
 }

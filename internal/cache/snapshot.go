@@ -2,7 +2,7 @@ package cache
 
 // Checkpointing for the optimistic (Time Warp) shard engine. Two regimes:
 //
-//   - Flat: Save bulk-copies every block. Simple, but O(cache size) per
+//   - Flat: Save bulk-copies every block and LRU stamp. Simple, but O(cache size) per
 //     checkpoint — ruinous when epochs are a few dozen cycles wide and an
 //     epoch touches a handful of sets.
 //
@@ -29,14 +29,17 @@ type journal struct {
 	setGen []uint64 // per set: generation whose journal already holds its pre-image
 	idx    []int32  // touched set index, in touch order
 	blocks []Block  // pre-image arena: entry e occupies [e*ways, (e+1)*ways)
+	lru    []uint64 // LRU pre-images, laid out like blocks
 }
 
-// Snap is one checkpoint of a cache. Under the flat regime blocks holds a
-// full copy; under the journaled regime mark is the journal length at save
-// time and blocks stays empty. tick and the residence counter file are
-// always copied flat (they are a few words).
+// Snap is one checkpoint of a cache. Under the flat regime blocks and lru
+// hold full copies; under the journaled regime mark is the journal length
+// at save time and both stay empty. tick and the residence counter file
+// are always copied flat (they are a few words). The packed tags are never
+// saved: Restore rebuilds them from the restored blocks.
 type Snap struct {
 	blocks   []Block
+	lru      []uint64
 	mark     int
 	resident []int
 	tick     uint64
@@ -46,7 +49,7 @@ type Snap struct {
 // run, on caches owned by an optimistic shard engine. Until the first Save
 // the journal stays disarmed and the mutation hooks cost one nil check.
 func (c *Cache) EnableJournal() {
-	c.jnStore = &journal{gen: 1, setGen: make([]uint64, len(c.sets))}
+	c.jnStore = &journal{gen: 1, setGen: make([]uint64, c.NumSets())}
 }
 
 // jsave records set s's pre-image once per generation. Callers guard with
@@ -58,13 +61,15 @@ func (c *Cache) jsave(s uint64) {
 	}
 	j.setGen[s] = j.gen
 	j.idx = append(j.idx, int32(s))
-	j.blocks = append(j.blocks, c.sets[s]...)
+	base := int(s) * c.ways
+	j.blocks = append(j.blocks, c.blocks[base:base+c.ways]...)
+	j.lru = append(j.lru, c.lru[base:base+c.ways]...)
 }
 
 // jsaveAll records every set (bulk escape hatch for whole-cache walks that
 // hand out mutable blocks).
 func (c *Cache) jsaveAll() {
-	for s := range c.sets {
+	for s := 0; s < c.NumSets(); s++ {
 		c.jsave(uint64(s))
 	}
 }
@@ -76,12 +81,11 @@ func (c *Cache) Save(s *Snap) {
 		c.jn = j
 		s.mark = len(j.idx)
 		s.blocks = s.blocks[:0]
+		s.lru = s.lru[:0]
 		j.gen++
 	} else {
-		s.blocks = s.blocks[:0]
-		for _, set := range c.sets {
-			s.blocks = append(s.blocks, set...)
-		}
+		s.blocks = append(s.blocks[:0], c.blocks...)
+		s.lru = append(s.lru[:0], c.lru...)
 	}
 	s.resident = append(s.resident[:0], c.resident...)
 	s.tick = c.tick
@@ -95,20 +99,22 @@ func (c *Cache) Save(s *Snap) {
 // runs straight to the commit horizon, after which everything is final.
 func (c *Cache) Restore(s *Snap) {
 	if j := c.jnStore; j != nil {
-		ways := c.cfg.Ways
+		ways := c.ways
 		for e := len(j.idx) - 1; e >= s.mark; e-- {
-			copy(c.sets[j.idx[e]], j.blocks[e*ways:(e+1)*ways])
+			base := int(j.idx[e]) * ways
+			copy(c.blocks[base:base+ways], j.blocks[e*ways:(e+1)*ways])
+			copy(c.lru[base:base+ways], j.lru[e*ways:(e+1)*ways])
+			c.retag(base, base+ways)
 		}
 		j.idx = j.idx[:s.mark]
 		j.blocks = j.blocks[:s.mark*ways]
+		j.lru = j.lru[:s.mark*ways]
 		j.gen++
 		c.jn = nil
 	} else {
-		i := 0
-		for _, set := range c.sets {
-			copy(set, s.blocks[i:i+len(set)])
-			i += len(set)
-		}
+		copy(c.blocks, s.blocks)
+		copy(c.lru, s.lru)
+		c.retag(0, len(c.blocks))
 	}
 	c.resident = append(c.resident[:0], s.resident...)
 	c.tick = s.tick
@@ -120,7 +126,19 @@ func (c *Cache) CommitSnap() {
 	if j := c.jnStore; j != nil {
 		j.idx = j.idx[:0]
 		j.blocks = j.blocks[:0]
+		j.lru = j.lru[:0]
 		j.gen++
 		c.jn = nil
+	}
+}
+
+// retag rebuilds the packed tags of ways [lo, hi) from their blocks.
+func (c *Cache) retag(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if b := &c.blocks[i]; b.Valid {
+			c.tags[i] = tagOf(b.Addr)
+		} else {
+			c.tags[i] = 0
+		}
 	}
 }

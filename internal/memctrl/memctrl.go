@@ -7,7 +7,6 @@ package memctrl
 
 import (
 	"fmt"
-	"sort"
 
 	"vsnoop/internal/mem"
 	"vsnoop/internal/mesh"
@@ -15,12 +14,21 @@ import (
 	"vsnoop/internal/token"
 )
 
-// line is the controller's per-block token account. Absent entries mean
-// "memory holds all tokens including the owner token" (the reset state).
+// line is the controller's per-block token account. A line that is not
+// present means "memory holds all tokens including the owner token" (the
+// reset state).
 type line struct {
-	tokens int
-	owner  bool
+	tokens  int
+	owner   bool
+	present bool
 }
+
+// chunkBits sizes the token table's lazily allocated chunks: 2048 lines
+// (32 KiB, the largest small-object size class) each.
+const (
+	chunkBits = 11
+	chunkSize = 1 << chunkBits
+)
 
 // persistentEntry tracks the active persistent requester and the queue of
 // waiters for one block.
@@ -60,7 +68,18 @@ type Ctrl struct {
 	// Obs, if set, watches token custody changes (invariant checking).
 	Obs token.Observer
 
-	lines      map[mem.BlockAddr]*line
+	// Stride is the number of controllers blocks are interleaved over
+	// (block a's home is controller a % Stride); 0 means 1. The token
+	// table is indexed by a / Stride, so it stays dense per controller.
+	Stride uint64
+
+	// lines is the token table: a dense array of lines indexed by
+	// a / Stride, split into chunks allocated on first touch. home is
+	// a % Stride of this controller's blocks, learned when the first line
+	// is created; it maps table indexes back to block addresses.
+	lines      []*[chunkSize]line
+	home       uint64
+	homeSet    bool
 	persistent map[mem.BlockAddr]*persistentEntry
 
 	// jn is the armed checkpoint journal (nil outside a speculative epoch);
@@ -75,59 +94,110 @@ type Ctrl struct {
 
 // Init prepares internal state; call once after fields are set.
 func (m *Ctrl) Init() {
-	m.lines = make(map[mem.BlockAddr]*line)
+	if m.Stride == 0 {
+		m.Stride = 1
+	}
 	m.persistent = make(map[mem.BlockAddr]*persistentEntry)
 	m.sendFn = func(arg interface{}, u uint64) {
 		m.Net.Send(m.Node, mesh.NodeID(u>>32), int(uint32(u)), arg)
 	}
 }
 
+// slot returns a's entry in the token table, or nil when its chunk was
+// never allocated. A block homed at another controller would alias one of
+// this controller's lines, so it is rejected as a routing bug.
+func (m *Ctrl) slot(a mem.BlockAddr) *line {
+	i, r := uint64(a)/m.Stride, uint64(a)%m.Stride
+	if r != m.home && m.homeSet {
+		m.misrouted(a)
+	}
+	c := i >> chunkBits
+	if c >= uint64(len(m.lines)) || m.lines[c] == nil {
+		return nil
+	}
+	return &m.lines[c][i&(chunkSize-1)]
+}
+
+// misrouted is slot's cold failure path.
+func (m *Ctrl) misrouted(a mem.BlockAddr) {
+	panic(fmt.Sprintf("memctrl: block %d is not homed at this controller (residue %d, want %d)",
+		a, uint64(a)%m.Stride, m.home))
+}
+
+// line returns a's token account for mutation, materializing it in the
+// reset state on first touch.
 func (m *Ctrl) line(a mem.BlockAddr) *line {
 	if m.jn != nil {
 		// Every caller may mutate the returned line, so journal its
 		// pre-image (or its absence) first.
 		m.jLine(a)
 	}
-	l, ok := m.lines[a]
-	if !ok {
-		l = &line{tokens: m.P.TotalTokens, owner: true}
-		m.lines[a] = l
+	l := m.slotOrGrow(a)
+	if !l.present {
+		if !m.homeSet {
+			m.home, m.homeSet = uint64(a)%m.Stride, true
+		}
+		*l = line{tokens: m.P.TotalTokens, owner: true, present: true}
 	}
 	return l
 }
 
+// slotOrGrow is slot, allocating a's chunk when it does not exist yet.
+func (m *Ctrl) slotOrGrow(a mem.BlockAddr) *line {
+	if l := m.slot(a); l != nil {
+		return l
+	}
+	i := uint64(a) / m.Stride
+	c := i >> chunkBits
+	for uint64(len(m.lines)) <= c {
+		m.lines = append(m.lines, nil)
+	}
+	m.lines[c] = new([chunkSize]line)
+	return &m.lines[c][i&(chunkSize-1)]
+}
+
 // Tokens returns memory's current token count and owner flag for a block
-// (for tests and invariant checks).
+// (for tests and invariant checks). It never changes controller state: a
+// block that has never left the reset state reports all tokens and the
+// owner token.
 func (m *Ctrl) Tokens(a mem.BlockAddr) (int, bool) {
-	l := m.line(a)
-	return l.tokens, l.owner
+	tokens, owner, present := m.Peek(a)
+	if !present {
+		return m.P.TotalTokens, true
+	}
+	return tokens, owner
 }
 
 // Peek returns the token account for a block without allocating a line:
 // present is false when the block has never left the reset state ("memory
-// holds all tokens"). Invariant checkers must use Peek, not Tokens, so that
-// checking never perturbs controller state.
+// holds all tokens"). Invariant checkers use Peek (or Tokens), neither of
+// which perturbs controller state.
 func (m *Ctrl) Peek(a mem.BlockAddr) (tokens int, owner, present bool) {
-	l, ok := m.lines[a]
-	if !ok {
+	l := m.slot(a)
+	if l == nil || !l.present {
 		return 0, false, false
 	}
 	return l.tokens, l.owner, true
 }
 
 // ForEachLine calls fn for every materialized line in ascending block-addr
-// order. It runs off the hot path (invariant checkers, end-of-run dumps), so
-// the sort cost does not matter and callers get determinism for free.
+// order (the table's index order).
 func (m *Ctrl) ForEachLine(fn func(a mem.BlockAddr, tokens int, owner bool)) {
-	addrs := make([]mem.BlockAddr, 0, len(m.lines))
-	for a := range m.lines {
-		addrs = append(addrs, a)
+	for c, chunk := range m.lines {
+		if chunk == nil {
+			continue
+		}
+		for k := range chunk {
+			if l := &chunk[k]; l.present {
+				fn(m.addrOf(c<<chunkBits|k), l.tokens, l.owner)
+			}
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		l := m.lines[a]
-		fn(a, l.tokens, l.owner)
-	}
+}
+
+// addrOf maps a token-table index back to its block address.
+func (m *Ctrl) addrOf(i int) mem.BlockAddr {
+	return mem.BlockAddr(uint64(i)*m.Stride + m.home)
 }
 
 // depart/arrive notify the token-custody observer.

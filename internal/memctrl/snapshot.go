@@ -8,14 +8,16 @@ import (
 
 // Checkpointing for the optimistic (Time Warp) shard engine. Like the
 // cache (see internal/cache/snapshot.go), two regimes share one Snap type:
-// a flat flatten-the-maps copy, and a journaled copy-on-first-touch undo
-// log armed by Save and truncated by CommitSnap, which prices a checkpoint
-// at O(entries touched per epoch) instead of O(table size). The backward
-// unwind to a slot's mark is exact for the same first-touch argument.
+// a flat copy of every present line and persistent entry, and a journaled
+// copy-on-first-touch undo log armed by Save and truncated by CommitSnap,
+// which prices a checkpoint at O(entries touched per epoch) instead of
+// O(table size). The backward unwind to a slot's mark is exact for the
+// same first-touch argument.
 
-// lineSave / persistSave are flattened map entries: flat-regime snapshots
-// hold one per table entry, journal entries one per first touch (had=false
-// marks a key absent at checkpoint time, i.e. created speculatively).
+// lineSave / persistSave are flattened table entries: flat-regime snapshots
+// hold one per present entry, journal entries one per first touch
+// (had=false marks a key absent at checkpoint time, i.e. created
+// speculatively).
 type lineSave struct {
 	addr mem.BlockAddr
 	had  bool
@@ -43,9 +45,8 @@ type mjournal struct {
 // persistent-request arbitration table, and the counters. Under the flat
 // regime the slices hold full flattened tables; under the journaled regime
 // they stay empty and the marks index the journal. The simulation never
-// observes map iteration order at runtime (ForEachLine sorts, and it only
-// runs at finalization), so a rebuild is indistinguishable from the
-// original.
+// observes the persistent map's iteration order, so a rebuild is
+// indistinguishable from the original.
 type Snap struct {
 	lines    []lineSave
 	persist  []persistSave
@@ -73,7 +74,7 @@ func (m *Ctrl) jLine(a mem.BlockAddr) {
 	}
 	j.lineGen[a] = j.gen
 	e := lineSave{addr: a}
-	if l, ok := m.lines[a]; ok {
+	if l := m.slot(a); l != nil && l.present {
 		e.had = true
 		e.l = *l
 	}
@@ -111,9 +112,9 @@ func (m *Ctrl) Save(s *Snap) {
 		return
 	}
 	s.lines = s.lines[:0]
-	for a, l := range m.lines { //lint:ordered flattened entries are rebuilt into a map on Restore; iteration order never reaches simulation state
-		s.lines = append(s.lines, lineSave{addr: a, had: true, l: *l})
-	}
+	m.ForEachLine(func(a mem.BlockAddr, tokens int, owner bool) {
+		s.lines = append(s.lines, lineSave{addr: a, had: true, l: line{tokens: tokens, owner: owner, present: true}})
+	})
 	np := 0
 	for a, p := range m.persistent { //lint:ordered flattened entries are rebuilt into a map on Restore; iteration order never reaches simulation state
 		var ws []token.Msg
@@ -146,10 +147,8 @@ func (m *Ctrl) Restore(s *Snap) {
 	if j := m.jnStore; j != nil {
 		for e := len(j.lines) - 1; e >= s.lineMark; e-- {
 			u := &j.lines[e]
-			if u.had {
-				*m.lines[u.addr] = u.l
-			} else {
-				delete(m.lines, u.addr)
+			if l := m.slot(u.addr); l != nil {
+				*l = u.l // the zero line when absent at checkpoint time
 			}
 		}
 		j.lines = j.lines[:s.lineMark]
@@ -173,10 +172,13 @@ func (m *Ctrl) Restore(s *Snap) {
 		m.Stats = s.stats
 		return
 	}
-	clear(m.lines)
+	for _, chunk := range m.lines {
+		if chunk != nil {
+			clear(chunk[:])
+		}
+	}
 	for _, ls := range s.lines {
-		l := ls.l
-		m.lines[ls.addr] = &l
+		*m.slotOrGrow(ls.addr) = ls.l
 	}
 	clear(m.persistent)
 	for _, ps := range s.persist {

@@ -210,18 +210,20 @@ func TestWindowedQuietElision(t *testing.T) {
 // TestMailboxZeroAllocSteadyState is the allocation gate for the deposit
 // path: once a mailbox's backing array (and the destination heap) have
 // reached their working-set size, put and a one-pass batch drain must not
-// allocate at all.
+// allocate at all. The drained events are fired with Step, which returns
+// their queue nodes to the engine's free list.
 func TestMailboxZeroAllocSteadyState(t *testing.T) {
 	var mb mailbox
 	eng := NewEngine()
 	fn := func(_ interface{}, _ uint64) {}
 
-	// Pre-grow the mailbox slice and the heap's backing array.
+	// Pre-grow the mailbox slice and the queue's slab.
 	for i := 0; i < 512; i++ {
 		mb.put(event{at: Cycle(i), key: uint64(i), fn2: fn})
 	}
 	mb.drain(eng)
-	eng.events = eng.events[:0]
+	for eng.Step() {
+	}
 
 	avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
@@ -230,7 +232,8 @@ func TestMailboxZeroAllocSteadyState(t *testing.T) {
 		if got := mb.drain(eng); got != 64 {
 			t.Fatalf("drain returned %d, want 64", got)
 		}
-		eng.events = eng.events[:0]
+		for eng.Step() {
+		}
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state put+drain allocates %.2f allocs per 64-event batch, want 0", avg)

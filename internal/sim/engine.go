@@ -23,8 +23,9 @@ type HandlerFn func(arg interface{}, u uint64)
 
 // event is one queue entry. Exactly one of fn / fn2 is set: fn is the
 // closure form (allocates a closure at the call site), fn2 the prebound
-// form (zero-alloc). Events live inline in the heap slice — there is no
-// per-event heap object and no interface boxing on push or pop.
+// form (zero-alloc). Events live inline in the queue's slab (see
+// queue.go) — there is no per-event heap object and no interface boxing on
+// push or pop.
 type event struct {
 	at  Cycle
 	key uint64 // tie-breaker: schedule order (domain-prefixed in domain mode)
@@ -35,27 +36,14 @@ type event struct {
 	u   uint64
 }
 
-// before is the strict total order on events: cycle, then schedule order.
-// In domain mode the key embeds the scheduling domain in its high bits, so
-// same-cycle ties break by (scheduling domain, per-domain schedule order) —
-// an order every shard can reproduce locally, making parallel execution
-// bit-identical to serial for the same domain count.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.key < o.key
-}
-
 // Engine is a discrete-event simulator. The zero value is ready to use.
-// The queue is a concrete-typed 4-ary min-heap: shallower than a binary
-// heap (fewer cache lines touched per sift) and free of the interface{}
-// boxing container/heap imposes on every push and pop.
+// The queue is a calendar wheel of per-cycle buckets with a 4-ary min-heap
+// for events due far ahead (see queue.go).
 type Engine struct {
-	now    Cycle
-	seq    uint64
-	events []event
-	fired  uint64
+	now   Cycle
+	seq   uint64
+	q     queue
+	fired uint64
 
 	// Domain mode (SetDomains): events carry an executing domain and
 	// schedule-order keys are drawn from per-domain counters, so the tie
@@ -63,7 +51,7 @@ type Engine struct {
 	// is nil in single-domain (legacy) mode, where key == seq exactly.
 	domSeq  []uint64
 	curDom  int32
-	local   []bool          // local[d]: domain d executes on this engine
+	local   []bool         // local[d]: domain d executes on this engine
 	deposit func(ev event) // sink for events bound to non-local domains
 
 	// No-forward-progress watchdog: when progressLimit > 0, StepChecked
@@ -89,7 +77,7 @@ func (e *Engine) Now() Cycle { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // schedulePastPanic is the cold failure path shared by the Schedule
 // variants. It exists so the fmt call (which allocates) stays out of the
@@ -100,6 +88,7 @@ func schedulePastPanic(at, now Cycle) {
 
 // Schedule runs fn after delay cycles (delay 0 means later this cycle,
 // after all currently queued same-cycle events).
+//
 //vsnoop:hotpath
 func (e *Engine) Schedule(delay Cycle, fn func()) {
 	e.ScheduleAt(e.now+delay, fn)
@@ -107,12 +96,13 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 
 // ScheduleAt runs fn at the given absolute cycle, which must not be in the
 // past.
+//
 //vsnoop:hotpath
 func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 	if at < e.now {
 		schedulePastPanic(at, e.now)
 	}
-	e.insert(event{at: at, key: e.nextKey(), dom: e.curDom, fn: fn})
+	e.insert(at, e.curDom, fn, nil, nil, 0)
 }
 
 // ScheduleFn runs fn(arg, u) after delay cycles. It is the zero-alloc
@@ -120,6 +110,7 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 // and the per-event state travels in (arg, u), so nothing escapes to the
 // heap (arg should be nil, an already-boxed interface value, or a
 // pointer; u packs any scalar state).
+//
 //vsnoop:hotpath
 func (e *Engine) ScheduleFn(delay Cycle, fn HandlerFn, arg interface{}, u uint64) {
 	e.ScheduleFnAt(e.now+delay, fn, arg, u)
@@ -127,12 +118,13 @@ func (e *Engine) ScheduleFn(delay Cycle, fn HandlerFn, arg interface{}, u uint64
 
 // ScheduleFnAt is ScheduleFn with an absolute cycle, which must not be in
 // the past.
+//
 //vsnoop:hotpath
 func (e *Engine) ScheduleFnAt(at Cycle, fn HandlerFn, arg interface{}, u uint64) {
 	if at < e.now {
 		schedulePastPanic(at, e.now)
 	}
-	e.insert(event{at: at, key: e.nextKey(), dom: e.curDom, fn2: fn, arg: arg, u: u})
+	e.insert(at, e.curDom, nil, fn, arg, u)
 }
 
 // ScheduleFnAtDom is ScheduleFnAt with an explicit executing domain: the
@@ -140,17 +132,19 @@ func (e *Engine) ScheduleFnAt(at Cycle, fn HandlerFn, arg interface{}, u uint64)
 // domains are sharded) while its tie-break key still comes from the current
 // scheduling domain's counter, keeping the order reproducible for any
 // domain-to-engine assignment. The mesh uses it for cross-domain delivery.
+//
 //vsnoop:hotpath
 func (e *Engine) ScheduleFnAtDom(at Cycle, dom int32, fn HandlerFn, arg interface{}, u uint64) {
 	if at < e.now {
 		schedulePastPanic(at, e.now)
 	}
-	e.insert(event{at: at, key: e.nextKey(), dom: dom, fn2: fn, arg: arg, u: u})
+	e.insert(at, dom, nil, fn, arg, u)
 }
 
 // nextKey draws the next tie-break key: the global schedule counter in
 // single-domain mode (key == legacy seq, bit-identical ordering), or the
 // current domain's counter prefixed with the domain index in domain mode.
+//
 //vsnoop:hotpath
 func (e *Engine) nextKey() uint64 {
 	if e.domSeq == nil {
@@ -162,15 +156,24 @@ func (e *Engine) nextKey() uint64 {
 	return uint64(d)<<48 | e.domSeq[d]
 }
 
-// insert routes an event to the local heap, or to the deposit sink when its
-// executing domain lives on another engine.
+// insert draws the event's tie-break key and queues it locally, or hands
+// it to the deposit sink when its executing domain lives on another
+// engine. A wheel-bound event is written field by field straight into its
+// slab node: building a 64-byte event and passing it down by value costs
+// a store-forwarding stall per schedule.
+//
 //vsnoop:hotpath
-func (e *Engine) insert(ev event) {
-	if e.local != nil && !e.local[ev.dom] {
-		e.deposit(ev)
-		return
+func (e *Engine) insert(at Cycle, dom int32, fn func(), fn2 HandlerFn, arg interface{}, u uint64) {
+	key := e.nextKey()
+	switch {
+	case e.local != nil && !e.local[dom]:
+		e.deposit(event{at: at, key: key, dom: dom, fn: fn, fn2: fn2, arg: arg, u: u})
+	case !inWheel(at, e.now):
+		e.q.heapPush(event{at: at, key: key, dom: dom, fn: fn, fn2: fn2, arg: arg, u: u})
+	default:
+		ev := e.q.link(at, key)
+		ev.dom, ev.fn, ev.fn2, ev.arg, ev.u = dom, fn, fn2, arg, u
 	}
-	e.push(ev)
 }
 
 // SetDomains switches the engine to domain mode with nd domains. local
@@ -189,76 +192,29 @@ func (e *Engine) SetDomains(nd int, local []bool, deposit func(ev event)) {
 // any event handler (machine setup); during execution Step maintains it.
 func (e *Engine) SetCurDomain(d int32) { e.curDom = d }
 
-// push inserts ev into the 4-ary heap (sift-up). The self-append reuses the
-// backing array, so steady-state pushes allocate nothing.
-//vsnoop:hotpath
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	h := e.events
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !h[i].before(&h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// pop removes and returns the minimum event (sift-down with a hole).
-//vsnoop:hotpath
-func (e *Engine) pop() event {
-	h := e.events
-	root := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{} // release fn/arg references held by the backing array
-	h = h[:n]
-	e.events = h
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if h[j].before(&h[m]) {
-					m = j
-				}
-			}
-			if !h[m].before(&last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	return root
-}
+// push queues an already-keyed event (a drained deposit) on this engine.
+func (e *Engine) push(ev *event) { e.q.push(ev, e.now) }
 
 // Step executes the next event, advancing the clock to its cycle. It
 // returns false when no events remain.
+//
 //vsnoop:hotpath
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if e.q.len() == 0 {
 		return false
 	}
-	ev := e.pop()
+	// Read the event out field by field and drop the node's references
+	// before the handler runs (it may schedule into the same node).
+	ev := e.q.pop(e.now)
+	fn, fn2, arg, u := ev.fn, ev.fn2, ev.arg, ev.u
 	e.now = ev.at
 	e.curDom = ev.dom
+	ev.fn, ev.fn2, ev.arg = nil, nil, nil
 	e.fired++
-	if ev.fn2 != nil {
-		ev.fn2(ev.arg, ev.u)
+	if fn2 != nil {
+		fn2(arg, u)
 	} else {
-		ev.fn()
+		fn()
 	}
 	return true
 }
@@ -324,10 +280,10 @@ const cancelPollMask = 255
 // when an attached Canceler has tripped.
 func (e *Engine) StepChecked() (bool, error) {
 	if e.progressLimit > 0 && e.sinceProgress >= e.progressLimit {
-		return false, &NoProgressError{Limit: e.progressLimit, Now: e.now, Pending: len(e.events)}
+		return false, &NoProgressError{Limit: e.progressLimit, Now: e.now, Pending: e.q.len()}
 	}
 	if e.cancel != nil && e.fired&cancelPollMask == 0 && e.cancel.Canceled() {
-		return false, &CanceledError{Now: e.now, Pending: len(e.events)}
+		return false, &CanceledError{Now: e.now, Pending: e.q.len()}
 	}
 	if !e.Step() {
 		return false, nil
@@ -350,17 +306,21 @@ func (e *Engine) RunBoundedSteps(max uint64) error {
 			return nil
 		}
 	}
-	if len(e.events) == 0 {
+	if e.q.len() == 0 {
 		return nil
 	}
-	return &StepLimitError{Limit: max, Now: e.now, Pending: len(e.events)}
+	return &StepLimitError{Limit: max, Now: e.now, Pending: e.q.len()}
 }
 
 // RunUntil executes events with timestamps <= limit, then stops. The clock
 // is left at the timestamp of the last executed event (or limit if the
 // queue drained earlier than limit and AdvanceTo semantics are not needed).
 func (e *Engine) RunUntil(limit Cycle) {
-	for len(e.events) > 0 && e.events[0].at <= limit {
+	for {
+		at, ok := e.q.peek(e.now)
+		if !ok || at > limit {
+			break
+		}
 		e.Step()
 	}
 	if e.now < limit {
@@ -375,20 +335,20 @@ func (e *Engine) RunFor(d Cycle) { e.RunUntil(e.now + d) }
 // when the queue is empty. Conservative window synchronization uses it to
 // compute the global lower bound on future work.
 func (e *Engine) NextAt() (Cycle, bool) {
-	if len(e.events) == 0 {
-		return 0, false
-	}
-	return e.events[0].at, true
+	return e.q.peek(e.now)
 }
 
 // RunWindow executes events with timestamps strictly below wend under the
 // watchdog, leaving later events queued. It is one shard's work for one
 // conservative synchronization window.
 func (e *Engine) RunWindow(wend Cycle) error {
-	for len(e.events) > 0 && e.events[0].at < wend {
+	for {
+		at, ok := e.q.peek(e.now)
+		if !ok || at >= wend {
+			return nil
+		}
 		if _, err := e.StepChecked(); err != nil {
 			return err
 		}
 	}
-	return nil
 }

@@ -293,7 +293,7 @@ func (se *ShardedEngine) Run() error {
 // never happen and both barriers are no-ops; all that remains of the window
 // protocol is the fold bookkeeping. When nothing observes window boundaries
 // (no OnWindow hook, no step bound) even that folds away and the run is one
-// plain heap drain — zero overhead versus the unsharded engine, with the
+// plain queue drain — zero overhead versus the unsharded engine, with the
 // same event order: a single queue pops by (domain, seq) key regardless of
 // where windows would have fallen.
 func (se *ShardedEngine) runSerial() {

@@ -55,7 +55,7 @@ import (
 //     cancellation protocol is needed. The next epoch's base is C.
 //
 // Why committed state is bit-identical to serial by construction: a shard's
-// heap pop order is a strict total order on (cycle, domain-seq key), a pure
+// queue pop order is a strict total order on (cycle, domain-seq key), a pure
 // function of the event set (see shard.go); the commit rule guarantees the
 // event set below C is exactly the serial one (all earlier cross-shard
 // deposits released and drained, none still staged); and replay after a
@@ -138,9 +138,10 @@ type twMsg struct {
 }
 
 // engSnap is a flat-slice checkpoint of one Engine: the clock, the
-// tie-break counters, the watchdog, and the whole event heap. Buffers are
-// reused across saves, so a steady-state checkpoint allocates nothing once
-// the ring has grown to the run's high-water mark.
+// tie-break counters, the watchdog, and every pending event (the wheel's in
+// fire order, then the overflow heap's). Buffers are reused across saves,
+// so a steady-state checkpoint allocates nothing once the ring has grown to
+// the run's high-water mark.
 //
 //vsnoop:owned
 type engSnap struct {
@@ -157,22 +158,22 @@ type engSnap struct {
 func (e *Engine) saveSnap(s *engSnap) {
 	s.now, s.seq, s.fired, s.sinceProgress, s.curDom = e.now, e.seq, e.fired, e.sinceProgress, e.curDom
 	s.domSeq = append(s.domSeq[:0], e.domSeq...)
-	s.events = append(s.events[:0], e.events...)
+	s.events = e.q.appendTo(s.events[:0], e.now)
 }
 
 // restoreSnap rewinds the engine to s. Restoring fired keeps EventsFired
 // bit-identical to serial: discarded speculative events are uncounted and
-// the committed replay recounts each exactly once. Heap entries beyond the
-// restored length are zeroed first so the backing array drops its fn/arg
-// references.
+// the committed replay recounts each exactly once. The queue is rebuilt by
+// re-pushing the saved events at the restored clock; pop order depends only
+// on the (at, key) order of the event set, so the rebuilt queue fires
+// exactly as the saved one would have.
 func (e *Engine) restoreSnap(s *engSnap) {
 	e.now, e.seq, e.fired, e.sinceProgress, e.curDom = s.now, s.seq, s.fired, s.sinceProgress, s.curDom
 	e.domSeq = append(e.domSeq[:0], s.domSeq...)
-	h := e.events
-	for i := len(s.events); i < len(h); i++ {
-		h[i] = event{}
+	e.q.reset()
+	for i := range s.events {
+		e.q.push(&s.events[i], e.now)
 	}
-	e.events = append(h[:0], s.events...)
 }
 
 // twShard is one shard's optimistic state: the staging outbox, the

@@ -93,9 +93,27 @@ type vcpu struct {
 	defFrom  int
 	defTo    int
 
+	// txn is the open coherence transaction (valid while inTxn) and
+	// txnDone its prebound completion callback, so an L2 miss allocates
+	// no closure.
+	txn     txn
+	txnDone func()
+
 	// vix is this vCPU's index in m.vcpus — the column of the own/fwd
 	// ownership tables.
 	vix int //vsnoop:owned const
+}
+
+// txn is one vCPU's open coherence transaction: the core and domain it
+// started in, its start cycle, and the access to fill into the L1 when it
+// completes.
+type txn struct {
+	cn    *coreNode
+	d     *domain
+	start sim.Cycle
+	addr  mem.BlockAddr
+	vm    mem.VMID
+	write bool
 }
 
 // domain is one snoop-domain partition of the machine: the cores the
@@ -221,10 +239,6 @@ type Machine struct {
 	retired    int
 	shufRng    *sim.Rand
 	shufPeriod sim.Cycle
-
-	// DebugMissHook, if set, receives (guest page, write) for every
-	// measured guest L2 miss; used by calibration tooling only.
-	DebugMissHook func(page int, write bool)
 
 	// own/fwd are the flat per-domain vCPU location tables of sharded mode
 	// (nil in legacy): own[d*nv+vix] reports whether domain d currently owns
@@ -538,7 +552,7 @@ func New(cfg Config) (*Machine, error) {
 				oracle = domOracle{m: m, d: md}
 			}
 			mc := &memctrl.Ctrl{Eng: mcEng, Net: m.Net, Node: mcNodes[i], P: cfg.P,
-				AllCaches: coreNodes, Oracle: oracle}
+				AllCaches: coreNodes, Oracle: oracle, Stride: uint64(cfg.MCs)}
 			mc.Init()
 			m.Net.SetHandler(mcNodes[i], mc.Handle)
 			m.mcs = append(m.mcs, mc)
@@ -825,11 +839,13 @@ func (m *Machine) setupVMs() {
 			}
 		}
 		for t := 0; t < cfg.VCPUsPerVM; t++ {
-			m.vcpus = append(m.vcpus, &vcpu{
+			v := &vcpu{
 				id:   hv.VCPU{VM: mem.VMID(vm), Idx: t},
 				gen:  workload.NewGenerator(prof, cfg.VCPUsPerVM, t, cfg.Seed+uint64(vm)*1000),
 				left: cfg.RefsPerVCPU,
-			})
+			}
+			v.txnDone = func() { m.completeTxn(v) }
+			m.vcpus = append(m.vcpus, v)
 		}
 	}
 	if cfg.ContentSharing {
@@ -1256,9 +1272,6 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 
 	// L2 miss or upgrade: coherence transaction.
 	st.recordL2Miss(v.id.VM, ref.Ctx, ptype)
-	if m.DebugMissHook != nil && d.warmed && ref.Ctx == workload.CtxGuest {
-		m.DebugMissHook(int(ref.Page), ref.Write)
-	}
 	if ptype == mem.PageROShared {
 		if m.sharded != nil {
 			m.classifyPartitioned(d, addr, v.id.VM)
@@ -1266,25 +1279,30 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 			m.classifyHolder(d, st, addr, v.id.VM)
 		}
 	}
-	start := d.eng.Now()
 	v.inTxn = true
-	cn.start(addr, tagVM, ptype, ref.Write, func() {
-		v.inTxn = false
-		st.MissLatency.Observe(float64(d.eng.Now() - start))
-		m.l1Fill(cn, addr, tagVM, ref.Write)
-		// Free waiting relocated vCPUs, then continue this stream.
-		if len(cn.waitq) > 0 {
-			d.eng.ScheduleFn(0, m.drainFn, cn, 0)
-		}
-		m.finish(v, 0)
-		if v.deferred {
-			// A cross-shard depart arrived mid-transaction: perform it now
-			// that the transaction closed. The step just scheduled above
-			// fires in this (old) domain and chases the vCPU to its new one.
-			v.deferred = false
-			m.departNow(v, v.defFrom, v.defTo)
-		}
-	})
+	v.txn = txn{cn: cn, d: d, start: d.eng.Now(), addr: addr, vm: tagVM, write: ref.Write}
+	cn.start(addr, tagVM, ptype, ref.Write, v.txnDone)
+}
+
+// completeTxn is the completion callback of v's open coherence
+// transaction (prebound per vCPU as v.txnDone).
+func (m *Machine) completeTxn(v *vcpu) {
+	t := v.txn
+	v.inTxn = false
+	t.d.st.MissLatency.Observe(float64(t.d.eng.Now() - t.start))
+	m.l1Fill(t.cn, t.addr, t.vm, t.write)
+	// Free waiting relocated vCPUs, then continue this stream.
+	if len(t.cn.waitq) > 0 {
+		t.d.eng.ScheduleFn(0, m.drainFn, t.cn, 0)
+	}
+	m.finish(v, 0)
+	if v.deferred {
+		// A cross-shard depart arrived mid-transaction: perform it now
+		// that the transaction closed. The step just scheduled above
+		// fires in this (old) domain and chases the vCPU to its new one.
+		v.deferred = false
+		m.departNow(v, v.defFrom, v.defTo)
+	}
 }
 
 // l1Fill caches read data in the L1 (writes are no-allocate).
