@@ -207,7 +207,7 @@ func BenchmarkTable6(b *testing.B) {
 // fft run per iteration, useful for performance regressions of the
 // simulation engine itself.
 func BenchmarkSingleRun(b *testing.B) {
-	benchmarkSingleRun(b, 0, false, "")
+	benchmarkSingleRun(b, 0, false)
 }
 
 // BenchmarkSingleRunShards1 and BenchmarkSingleRunShards4 bracket the
@@ -217,27 +217,17 @@ func BenchmarkSingleRun(b *testing.B) {
 // protocol. BenchmarkSingleRunShards4NoElision forces the fully-barriered
 // windowed protocol on the same run, isolating what adaptive windows and
 // barrier elision buy. All four produce bit-identical statistics.
-func BenchmarkSingleRunShards1(b *testing.B)          { benchmarkSingleRun(b, 1, false, "") }
-func BenchmarkSingleRunShards4(b *testing.B)          { benchmarkSingleRun(b, 4, false, "") }
-func BenchmarkSingleRunShards4NoElision(b *testing.B) { benchmarkSingleRun(b, 4, true, "") }
+func BenchmarkSingleRunShards1(b *testing.B)          { benchmarkSingleRun(b, 1, false) }
+func BenchmarkSingleRunShards4(b *testing.B)          { benchmarkSingleRun(b, 4, false) }
+func BenchmarkSingleRunShards4NoElision(b *testing.B) { benchmarkSingleRun(b, 4, true) }
 
-// BenchmarkSingleRunTimewarpK4 runs the same pinned fft run under the
-// optimistic (Time Warp) engine: checkpoint, speculate past the horizon,
-// roll back on stragglers, commit at GVT. On a long-lookahead config like
-// this one the conservative adaptive protocol already elides almost every
-// barrier, so timewarp's checkpointing is pure overhead here — CI gates it
-// at <=1.10x adaptive (the "don't pay for what you don't need" bound; the
-// width controller bails out to adaptive when speculation never pays).
-func BenchmarkSingleRunTimewarpK4(b *testing.B) { benchmarkSingleRun(b, 4, false, "timewarp") }
-
-func benchmarkSingleRun(b *testing.B, shards int, noElision bool, mode string) {
+func benchmarkSingleRun(b *testing.B, shards int, noElision bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.RefsPerVCPU = 2000
 		cfg.WarmupRefs = 0
 		cfg.Shards = shards
 		cfg.NoElision = noElision
-		cfg.Mode = mode
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -276,22 +266,14 @@ func benchmarkMigrationRun(b *testing.B, shards int, forceSerial bool) {
 func BenchmarkContentRunSerial(b *testing.B)  { benchmarkContentRun(b, 0, true) }
 func BenchmarkContentRunShards4(b *testing.B) { benchmarkContentRun(b, 4, false) }
 
-// Migration-storm runs are the optimistic engine's home turf: a 0.5ms
-// relocation period collapses the cross-domain horizon, so the conservative
-// protocols (windowed and adaptive alike) advance in slivers — every shard
-// waits at every barrier for lookahead that never opens up. Time Warp
-// speculates past the horizon and almost never has to roll back (relocations
-// rarely land inside the speculated slice), so its epochs stay wide. CI
-// regenerates BENCH_10.json from these three and gates timewarp >=1.3x
-// adaptive on >=4-core runners; on the pinned long-lookahead run above it
-// gates timewarp <=1.10x adaptive, so speculation wins where lookahead
-// collapses and costs nothing measurable where it doesn't. All modes produce
-// bit-identical statistics (TestTimewarpMigrationBitIdentical).
-func BenchmarkStormSerial(b *testing.B)     { benchmarkStormRun(b, 0, true, "") }
-func BenchmarkStormAdaptiveK4(b *testing.B) { benchmarkStormRun(b, 4, false, "adaptive") }
-func BenchmarkStormTimewarpK4(b *testing.B) { benchmarkStormRun(b, 4, false, "timewarp") }
+// Migration-storm runs: a 0.5ms relocation period collapses the
+// cross-domain horizon, so the conservative protocols (windowed and
+// adaptive alike) advance in slivers. The serial baseline is ForceSerial;
+// both produce bit-identical statistics.
+func BenchmarkStormSerial(b *testing.B)     { benchmarkStormRun(b, 0, true) }
+func BenchmarkStormAdaptiveK4(b *testing.B) { benchmarkStormRun(b, 4, false) }
 
-func benchmarkStormRun(b *testing.B, shards int, forceSerial bool, mode string) {
+func benchmarkStormRun(b *testing.B, shards int, forceSerial bool) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig()
 		cfg.RefsPerVCPU = 2000
@@ -299,7 +281,6 @@ func benchmarkStormRun(b *testing.B, shards int, forceSerial bool, mode string) 
 		cfg.MigrationPeriodMs = 0.5
 		cfg.Shards = shards
 		cfg.ForceSerial = forceSerial
-		cfg.Mode = mode
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}

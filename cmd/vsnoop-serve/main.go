@@ -9,7 +9,7 @@
 //
 //	vsnoop-serve -addr :8080 -data /var/lib/vsnoop \
 //	    -workers 4 -queue 64 -quota-rate 2 -quota-burst 20 \
-//	    -mode auto -store-max-bytes 1073741824
+//	    -store-max-bytes 1073741824
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs/{id}, POST /v1/jobs/{id}/cancel,
 // GET /v1/results/{hash}, /healthz, /readyz, /metrics.
@@ -44,7 +44,7 @@ func main() {
 	quotaRate := flag.Float64("quota-rate", 0, "per-tenant admitted configs per second (0 = quotas off)")
 	quotaBurst := flag.Float64("quota-burst", 32, "per-tenant token-bucket burst (configs)")
 	shards := flag.Int("shards", -1, "event-queue shards per run: -1 = auto (planner-resolved once at startup), 0 = honor request, N = force")
-	mode := flag.String("mode", "", `synchronization engine forced per run: windowed, adaptive, timewarp, or auto ("" honors each request; results are bit-identical across modes)`)
+	mode := flag.String("mode", "", `synchronization engine forced per run: adaptive or windowed ("" honors each request; results are bit-identical across modes)`)
 	storeMax := flag.Int64("store-max-bytes", 0, "result-store size bound; oldest unreferenced results are evicted past it (0 = unbounded)")
 	maxBody := flag.Int64("max-body", 1<<20, "max request body bytes")
 	maxConfigs := flag.Int("max-configs", 1024, "max configs per sweep job")

@@ -149,11 +149,6 @@ type Cache struct {
 	// can suspect the VM's map. When nil (fault-free runs) underflow remains
 	// a panic, because then it can only be a simulator bug.
 	OnResidenceUnderflow func(vm mem.VMID)
-
-	// jn is the armed checkpoint journal (nil outside a speculative epoch);
-	// jnStore holds the allocation between epochs. See snapshot.go.
-	jn      *journal
-	jnStore *journal
 }
 
 // New builds a cache from cfg; it panics on invalid geometry (a
@@ -209,11 +204,6 @@ func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 	t := tagOf(a)
 	for i, tag := range c.tags[base : base+c.ways] {
 		if tag == t {
-			if c.jn != nil {
-				// The caller may mutate the returned block in place, so the
-				// hit journals its set's pre-image.
-				c.jsave(s)
-			}
 			c.hit = base + i
 			return &c.blocks[base+i]
 		}
@@ -224,9 +214,6 @@ func (c *Cache) Lookup(a mem.BlockAddr) *Block {
 // Touch marks b most-recently used.
 func (c *Cache) Touch(b *Block) {
 	i := c.way(b)
-	if c.jn != nil {
-		c.jsave(c.setIndex(b.Addr))
-	}
 	c.tick++
 	c.lru[i] = c.tick
 }
@@ -291,9 +278,6 @@ func (c *Cache) decResident(vm mem.VMID) {
 // evicted reports whether victim describes a displaced valid block.
 func (c *Cache) Insert(a mem.BlockAddr, vm mem.VMID) (b *Block, victim EvictInfo, evicted bool) {
 	s := c.setIndex(a)
-	if c.jn != nil {
-		c.jsave(s)
-	}
 	base := int(s) * c.ways
 	t := tagOf(a)
 	slot := -1
@@ -354,9 +338,6 @@ func (c *Cache) Invalidate(b *Block) EvictInfo {
 // invalidateWay is Invalidate on a valid way index.
 func (c *Cache) invalidateWay(i int) EvictInfo {
 	b := &c.blocks[i]
-	if c.jn != nil {
-		c.jsave(c.setIndex(b.Addr))
-	}
 	info := EvictInfo{Addr: b.Addr, Tokens: b.Tokens, Owner: b.Owner, Dirty: b.Dirty, VM: b.VM}
 	// Clear before callbacks: a reentrant FlushVM from a residence trigger
 	// must not double-invalidate this block.
@@ -413,15 +394,8 @@ func (c *Cache) RecountResidence() {
 	c.ForEachValid(func(b *Block) { c.resident[c.counterIdx(b.VM)]++ })
 }
 
-// ForEachValid calls fn for every valid block. fn receives mutable blocks,
-// so an armed checkpoint journal conservatively records every set first;
-// runtime callers are invariant checks and fault recovery, neither of which
-// runs inside a speculative epoch, so the bulk pre-image never happens on
-// the optimistic fast path.
+// ForEachValid calls fn for every valid block.
 func (c *Cache) ForEachValid(fn func(*Block)) {
-	if c.jn != nil {
-		c.jsaveAll()
-	}
 	for i, tag := range c.tags {
 		if tag != 0 {
 			fn(&c.blocks[i])

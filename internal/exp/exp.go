@@ -146,7 +146,7 @@ var MaxSteps uint64
 var Shards int
 
 // Mode is the sharded synchronization engine (vsnoop-report's -mode):
-// windowed, adaptive, timewarp, auto, or "" for the historical dispatch.
+// adaptive, windowed, or "" for the default dispatch.
 // Like Shards it is an execution mechanic — results are bit-identical
 // across modes.
 var Mode string

@@ -109,10 +109,11 @@ func TestShardAtomicFixture(t *testing.T) { checkFixture(t, "shardatomic") }
 // call leaks are findings.
 func TestDomainOwnFixture(t *testing.T) { checkFixture(t, "domainown") }
 
-// TestTimewarpFixture covers the optimistic engine's speculative state
-// under domainown: checkpoint saves and anti-message handling confined to
-// the owning domain are clean, while a seeded cross-domain checkpoint
-// write and a foreign outbox push are findings.
+// TestTimewarpFixture covers domainown on checkpoint-style owned state
+// (modelled on a speculative engine the simulator no longer has): saves
+// and outbox handling confined to the owning domain are clean, while a
+// seeded cross-domain checkpoint write and a foreign outbox push are
+// findings.
 func TestTimewarpFixture(t *testing.T) { checkFixture(t, "timewarp") }
 
 // TestIRFlowFixture covers the dataflow-IR corners: the verified key

@@ -82,11 +82,6 @@ type Ctrl struct {
 	homeSet    bool
 	persistent map[mem.BlockAddr]*persistentEntry
 
-	// jn is the armed checkpoint journal (nil outside a speculative epoch);
-	// jnStore holds the allocation between epochs. See snapshot.go.
-	jn      *mjournal
-	jnStore *mjournal
-
 	// sendFn is the prebound event handler for delayed response sends
 	// (arg = boxed Msg, u = destination << 32 | bytes): zero-alloc arming.
 	sendFn sim.HandlerFn
@@ -127,12 +122,16 @@ func (m *Ctrl) misrouted(a mem.BlockAddr) {
 // line returns a's token account for mutation, materializing it in the
 // reset state on first touch.
 func (m *Ctrl) line(a mem.BlockAddr) *line {
-	if m.jn != nil {
-		// Every caller may mutate the returned line, so journal its
-		// pre-image (or its absence) first.
-		m.jLine(a)
+	l := m.slot(a)
+	if l == nil {
+		i := uint64(a) / m.Stride
+		c := i >> chunkBits
+		for uint64(len(m.lines)) <= c {
+			m.lines = append(m.lines, nil)
+		}
+		m.lines[c] = new([chunkSize]line)
+		l = &m.lines[c][i&(chunkSize-1)]
 	}
-	l := m.slotOrGrow(a)
 	if !l.present {
 		if !m.homeSet {
 			m.home, m.homeSet = uint64(a)%m.Stride, true
@@ -140,20 +139,6 @@ func (m *Ctrl) line(a mem.BlockAddr) *line {
 		*l = line{tokens: m.P.TotalTokens, owner: true, present: true}
 	}
 	return l
-}
-
-// slotOrGrow is slot, allocating a's chunk when it does not exist yet.
-func (m *Ctrl) slotOrGrow(a mem.BlockAddr) *line {
-	if l := m.slot(a); l != nil {
-		return l
-	}
-	i := uint64(a) / m.Stride
-	c := i >> chunkBits
-	for uint64(len(m.lines)) <= c {
-		m.lines = append(m.lines, nil)
-	}
-	m.lines[c] = new([chunkSize]line)
-	return &m.lines[c][i&(chunkSize-1)]
 }
 
 // Tokens returns memory's current token count and owner flag for a block
@@ -335,9 +320,6 @@ func (m *Ctrl) absorb(msg token.Msg) {
 }
 
 func (m *Ctrl) handlePersistentReq(msg token.Msg) {
-	if m.jn != nil {
-		m.jPersist(msg.Addr)
-	}
 	p, ok := m.persistent[msg.Addr]
 	if !ok {
 		p = &persistentEntry{}
@@ -379,9 +361,6 @@ func (m *Ctrl) activate(p *persistentEntry, msg token.Msg) {
 }
 
 func (m *Ctrl) handleRelease(msg token.Msg) {
-	if m.jn != nil {
-		m.jPersist(msg.Addr)
-	}
 	p, ok := m.persistent[msg.Addr]
 	if !ok || !p.hasAct || p.active != msg.Src {
 		return // stale release

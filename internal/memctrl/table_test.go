@@ -34,17 +34,14 @@ func chunksAllocated(m *Ctrl) int {
 }
 
 // TestReadersLeaveTableUnchanged pins Tokens, Peek and ForEachLine as
-// read-only, under an armed journal too: asking about a block never
-// materializes its line, allocates a chunk, or journals a pre-image.
+// read-only: asking about a block never materializes its line or
+// allocates a chunk.
 func TestReadersLeaveTableUnchanged(t *testing.T) {
 	r := newRig(t)
 	r.send(token.Msg{Kind: token.MsgGetS, Addr: 10})
-	r.mc.EnableJournal()
-	var s Snap
-	r.mc.Save(&s)
 
 	before := dumpTable(r.mc)
-	chunks, span, journaled := chunksAllocated(r.mc), len(r.mc.lines), len(r.mc.jn.lines)
+	chunks, span := chunksAllocated(r.mc), len(r.mc.lines)
 
 	if tok, own := r.mc.Tokens(10); tok != r.p.TotalTokens-1 || !own {
 		t.Fatalf("Tokens(10) = (%d, %v), want (%d, true)", tok, own, r.p.TotalTokens-1)
@@ -60,17 +57,16 @@ func TestReadersLeaveTableUnchanged(t *testing.T) {
 	if after := dumpTable(r.mc); !slices.Equal(after, before) {
 		t.Fatalf("readers changed the table: %v -> %v", before, after)
 	}
-	if chunksAllocated(r.mc) != chunks || len(r.mc.lines) != span || len(r.mc.jn.lines) != journaled {
-		t.Fatalf("readers grew the table or journal: chunks %d->%d, span %d->%d, journal %d->%d",
-			chunks, chunksAllocated(r.mc), span, len(r.mc.lines), journaled, len(r.mc.jn.lines))
+	if chunksAllocated(r.mc) != chunks || len(r.mc.lines) != span {
+		t.Fatalf("readers grew the table: chunks %d->%d, span %d->%d",
+			chunks, chunksAllocated(r.mc), span, len(r.mc.lines))
 	}
 }
 
-// TestTableStrideOrderAndRestore drives a controller homing every fourth
-// block: ForEachLine reports lines in ascending address order across
-// chunks, a flat checkpoint round-trips, a journaled rollback removes a
-// speculatively created line, and a block homed elsewhere is rejected.
-func TestTableStrideOrderAndRestore(t *testing.T) {
+// TestTableStrideOrder drives a controller homing every fourth block:
+// ForEachLine reports lines in ascending address order across chunks, and
+// a block homed elsewhere is rejected.
+func TestTableStrideOrder(t *testing.T) {
 	r := newRig(t)
 	r.mc.Stride = 4
 	addrs := []mem.BlockAddr{4*chunkSize*3 + 2, 6, 2, 4*chunkSize + 2}
@@ -86,25 +82,6 @@ func TestTableStrideOrderAndRestore(t *testing.T) {
 		if l.a != want[i] || l.tokens != r.p.TotalTokens-1 || !l.owner {
 			t.Fatalf("line %d = %+v, want block %d with %d tokens and the owner token", i, l, want[i], r.p.TotalTokens-1)
 		}
-	}
-
-	var flat Snap
-	r.mc.Save(&flat)
-	r.send(token.Msg{Kind: token.MsgGetX, Addr: 6})
-	r.send(token.Msg{Kind: token.MsgGetS, Addr: 10})
-	r.mc.Restore(&flat)
-	if after := dumpTable(r.mc); !slices.Equal(after, got) {
-		t.Fatalf("flat restore: %v, want %v", after, got)
-	}
-
-	r.mc.EnableJournal()
-	var js Snap
-	r.mc.Save(&js)
-	r.send(token.Msg{Kind: token.MsgGetS, Addr: 14})
-	r.send(token.Msg{Kind: token.MsgGetX, Addr: 2})
-	r.mc.Restore(&js)
-	if after := dumpTable(r.mc); !slices.Equal(after, got) {
-		t.Fatalf("journaled restore: %v, want %v", after, got)
 	}
 
 	defer func() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -752,13 +753,13 @@ func TestStoreGCStartupRecovery(t *testing.T) {
 	}
 }
 
-// TestModeOverrideBitIdentical: a server forcing -mode timewarp stores and
+// TestModeOverrideBitIdentical: a server forcing -mode windowed stores and
 // serves exactly the bytes a mode-less computation produces — Mode is an
 // execution mechanic outside the hash and the normalized record.
 func TestModeOverrideBitIdentical(t *testing.T) {
 	cfg := quickConfig(51)
 	s, ts := newTestServer(t, t.TempDir(), func(o *Options) {
-		o.Mode = "timewarp"
+		o.Mode = "windowed"
 		o.Shards = 4
 	})
 	defer s.Close()
@@ -783,6 +784,62 @@ func TestModeOverrideBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, append(want, '\n')) {
-		t.Fatal("timewarp-forced server result differs from a serial run's record")
+		t.Fatal("windowed-forced server result differs from a serial run's record")
+	}
+}
+
+// TestReplayClearsRemovedModes: a journal written before the optimistic
+// engine was removed can hold an unfinished job whose configs carry
+// "Mode":"timewarp" or "Mode":"auto", values Validate now rejects. The
+// restarted server must clear Mode on replay, finish the job, and serve
+// exactly the bytes a fresh run produces.
+func TestReplayClearsRemovedModes(t *testing.T) {
+	dir := t.TempDir()
+	var configs []vsnoop.Config
+	var hashes []string
+	for i, mode := range []string{"timewarp", "auto"} {
+		cfg := quickConfig(uint64(61 + i))
+		cfg.Shards = 2
+		cfg.Mode = mode
+		configs = append(configs, cfg)
+		hashes = append(hashes, cfg.Hash())
+	}
+	payload, err := json.Marshal(record{Op: opJob, ID: "j-000007", Tenant: "t", Configs: configs, Hashes: hashes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(payload, []byte(`"Mode":"timewarp"`)) || !bytes.Contains(payload, []byte(`"Mode":"auto"`)) {
+		t.Fatalf("journal record does not carry the removed modes: %s", payload)
+	}
+	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(payload), payload)
+	if err := os.WriteFile(dir+"/journal", []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, dir, nil)
+	defer s.Close()
+	v := waitJob(t, ts.URL, "j-000007", 60*time.Second)
+	if v.Status != statusDone || v.Done != len(configs) {
+		t.Fatalf("recovered job: %+v", v)
+	}
+	for i, o := range v.Outcomes {
+		if o.State != cfgComputed {
+			t.Fatalf("config %d: outcome %+v", i, o)
+		}
+	}
+	for i, cfg := range configs {
+		cfg.Mode = ""
+		res, err := vsnoop.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(normalizeRecord(cfg, res), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := getRaw(t, ts.URL+"/v1/results/"+hashes[i])
+		if code != http.StatusOK || !bytes.Equal(body, append(want, '\n')) {
+			t.Fatalf("config %d: GET %d, bytes equal to a fresh run %v", i, code, bytes.Equal(body, append(want, '\n')))
+		}
 	}
 }

@@ -40,10 +40,9 @@ type Options struct {
 	// requests as-is). The hash ignores it, so this never affects results.
 	Shards int
 	// Mode overrides Config.Mode on every submitted config ("" leaves
-	// requests as-is): windowed, adaptive, timewarp, or auto. Like Shards
-	// it is an execution mechanic the hash ignores — results are
-	// bit-identical across modes — so forcing it never affects stored
-	// records.
+	// requests as-is): adaptive or windowed. Like Shards it is an
+	// execution mechanic the hash ignores — results are bit-identical
+	// across modes — so forcing it never affects stored records.
 	Mode string
 	// StoreMaxBytes bounds the content-addressed result store; past it the
 	// oldest unreferenced records are evicted (0 = unbounded). Evicted
@@ -76,10 +75,10 @@ func (o *Options) withDefaults() error {
 	if o.MaxJobs <= 0 {
 		o.MaxJobs = 4096
 	}
-	switch o.Mode {
-	case "", "auto", "windowed", "adaptive", "timewarp":
-	default:
-		return fmt.Errorf("serve: unknown Mode %q (want windowed, adaptive, timewarp, or auto)", o.Mode)
+	probe := vsnoop.DefaultConfig()
+	probe.Mode = o.Mode
+	if err := probe.Validate(); err != nil {
+		return fmt.Errorf("serve: Options.Mode: %w", err)
 	}
 	return nil
 }
@@ -181,6 +180,13 @@ func (s *Server) replay(recs []record) []*jobState {
 		case opJob:
 			if len(r.Configs) == 0 || len(r.Configs) != len(r.Hashes) {
 				continue // malformed; skip defensively
+			}
+			// Mode is an execution mechanic outside the hash. Journals
+			// written before the optimistic engine was removed may carry
+			// its Mode values, which Validate now rejects, so clear it as
+			// normalizeRecord does for stored records.
+			for i := range r.Configs {
+				r.Configs[i].Mode = ""
 			}
 			ctx, cancel := context.WithCancel(s.rootCtx)
 			j := &jobState{

@@ -185,34 +185,6 @@ func (q *queue) pop(now Cycle) *event {
 	return &nd.ev
 }
 
-// appendTo appends every pending event to dst: wheel events in fire
-// order, then the overflow heap in array order.
-func (q *queue) appendTo(dst []event, now Cycle) []event {
-	start := int(now & wheelMask)
-	for k, left := 0, q.nw; left > 0; k++ {
-		b := (start + k) & wheelMask
-		for n := q.head[b]; n != 0; n = q.slab[n].next {
-			dst = append(dst, q.slab[n].ev)
-			left--
-		}
-	}
-	return append(dst, q.over...)
-}
-
-// reset empties the queue, keeping its buffers and dropping the events'
-// fn/arg references.
-func (q *queue) reset() {
-	clear(q.slab)
-	q.slab = q.slab[:0]
-	q.free, q.nw, q.min = 0, 0, 0
-	q.head = [wheelSize]int32{}
-	q.tail = [wheelSize]int32{}
-	q.occ = [occWords]uint64{}
-	clear(q.over)
-	q.over = q.over[:0]
-	q.popped = event{}
-}
-
 // heapPush inserts ev into the overflow 4-ary heap (sift-up). The
 // self-append reuses the backing array, so steady-state pushes allocate
 // nothing.

@@ -191,59 +191,3 @@ func TestQueuePopOrderProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestQueueSnapshotRoundTrip checkpoints an engine holding events in both
-// the wheel and the overflow heap, speculates past the checkpoint,
-// restores, and requires the replay to match an engine that never rolled
-// back, event for event.
-func TestQueueSnapshotRoundTrip(t *testing.T) {
-	build := func() (*Engine, *[]uint64) {
-		e := NewEngine()
-		e.SetDomains(2, nil, nil)
-		var log []uint64
-		var fn HandlerFn
-		fn = func(_ interface{}, id uint64) {
-			log = append(log, id)
-			if id < 1000 {
-				// A deterministic child: its own dom, delay and id.
-				e.ScheduleFnAtDom(e.Now()+Cycle(id*7919%(3*wheelSize)), int32(id%2), fn, nil, id+1000)
-			}
-		}
-		r := NewRand(5)
-		for id := uint64(0); id < 400; id++ {
-			e.SetCurDomain(int32(r.Intn(2)))
-			e.ScheduleFnAtDom(Cycle(r.Intn(3*wheelSize)), int32(r.Intn(2)), fn, nil, id)
-		}
-		return e, &log
-	}
-	ref, refLog := build()
-	ref.Run()
-
-	e, log := build()
-	e.RunUntil(600)
-	if e.q.nw == 0 || len(e.q.over) == 0 {
-		t.Fatalf("checkpoint should hold wheel and overflow events: wheel %d, overflow %d", e.q.nw, len(e.q.over))
-	}
-	var snap engSnap
-	pending := e.Pending()
-	e.saveSnap(&snap)
-	mark := len(*log)
-	e.RunUntil(2500) // speculate across the wheel/overflow boundary
-	e.restoreSnap(&snap)
-	if e.Pending() != pending || e.Now() != 600 {
-		t.Fatalf("restore: pending %d at cycle %d, want %d at 600", e.Pending(), e.Now(), pending)
-	}
-	*log = (*log)[:mark]
-	e.Run()
-	if len(*log) != len(*refLog) {
-		t.Fatalf("replayed %d events, want %d", len(*log), len(*refLog))
-	}
-	for i := range *refLog {
-		if (*log)[i] != (*refLog)[i] {
-			t.Fatalf("replay log[%d] = %d, want %d", i, (*log)[i], (*refLog)[i])
-		}
-	}
-	if e.Fired() != ref.Fired() {
-		t.Errorf("fired %d, want %d", e.Fired(), ref.Fired())
-	}
-}

@@ -48,13 +48,14 @@ func (b *barrier) wait(k int32, leader func()) {
 // Two modes share the engine:
 //
 //   - Windowed (used whenever something observes window boundaries: an
-//     OnWindow hook or a step bound, or when DisableElision is set): all
-//     shards execute events inside the global window [w, w+lookahead), meet
-//     at barrier A, exchange cross-shard events through the mailboxes, and
-//     the barrier-B leader advances the window to the global minimum pending
-//     timestamp. When a window produced no cross-shard deposits the barrier-A
-//     leader folds immediately and every shard skips the drain and barrier B
-//     — one barrier per quiet window instead of two.
+//     OnWindow hook or a step bound, or when Windowed or DisableElision is
+//     set): all shards execute events inside the global window
+//     [w, w+lookahead), meet at barrier A, exchange cross-shard events
+//     through the mailboxes, and the barrier-B leader advances the window
+//     to the global minimum pending timestamp. When a window produced no
+//     cross-shard deposits the barrier-A leader folds immediately and
+//     every shard skips the drain and barrier B — one barrier per quiet
+//     window instead of two.
 //
 //   - Adaptive free-running (the default for K >= 2 with nothing observing
 //     boundaries): no barriers at all; each shard advances under the
@@ -112,24 +113,12 @@ type ShardedEngine struct {
 	fired   uint64
 	tele    SyncStats
 
-	barA, barB, barC barrier
+	barA, barB barrier
 
-	// Mode pins a synchronization engine; the zero value (ModeAuto) keeps
-	// the historical dispatch. Set before Run.
-	Mode Mode
-
-	// Timewarp state (timewarp.go): the model's checkpoint interface, the
-	// per-shard optimistic slots (nil outside a timewarp run — depositEv's
-	// routing check keys off that), and the leader's epoch fold state.
-	state   ShardState
-	tw      []twShard
-	twT     Cycle // current epoch base (leader-owned)
-	twE     Cycle // current epoch width (leader-owned)
-	twC     Cycle // current commit horizon (leader-owned)
-	twLmin  Cycle // minimum cross-shard lookahead over all shards
-	twSave  bool  // this epoch checkpoints (E above the conservative floor)
-	twBail  bool  // permanent hand-off to the adaptive engine
-	twFloor int   // consecutive floor-width commits (bailout trigger)
+	// Windowed pins the fully synchronized windowed protocol (with
+	// quiet-window barrier elision) instead of the adaptive free-run.
+	// Results are bit-identical either way. Set before Run.
+	Windowed bool
 
 	// DisableElision forces the fully-barriered windowed protocol even
 	// when nothing observes window boundaries: no adaptive free-running,
@@ -220,11 +209,6 @@ func (se *ShardedEngine) SetCancel(c *Canceler) {
 	}
 }
 
-// SetShardState attaches the model's checkpoint interface, enabling
-// ModeTimewarp. Without one the timewarp dispatch falls back to the
-// conservative adaptive engine.
-func (se *ShardedEngine) SetShardState(st ShardState) { se.state = st }
-
 // SetDomainLookahead tightens the adaptive-mode output lookahead from
 // per-domain horizons: horizon[d] must lower-bound the latency of any
 // cross-domain event originating in domain d. Shard s's lookahead becomes
@@ -263,22 +247,18 @@ func (se *ShardedEngine) Run() error {
 		se.sh[s] = shardSlot{}
 		se.errs[s] = nil
 	}
-	se.tw = nil
 	switch {
 	case se.k == 1:
 		// The degenerate serial case covers every mode: one shard owns all
-		// domains, so the optimistic engine has nothing to speculate against
-		// and timewarp IS the serial run.
+		// domains.
 		se.runSerial()
-	case se.OnWindow != nil || se.MaxSteps > 0 || se.DisableElision || se.Mode == ModeWindowed:
+	case se.OnWindow != nil || se.MaxSteps > 0 || se.DisableElision || se.Windowed:
 		// Something observes window boundaries (or windowed is pinned):
-		// every mode falls back to the fully synchronized protocol.
+		// run the fully synchronized protocol.
 		runner.Map(se.k, se.k, func(s int) struct{} {
 			prof.Do(s, "shard-loop", func() { se.runShard(s) })
 			return struct{}{}
 		})
-	case se.Mode == ModeTimewarp && se.state != nil:
-		se.runTimewarpAll()
 	default:
 		se.runAdaptiveAll()
 	}
@@ -313,6 +293,18 @@ func (se *ShardedEngine) runSerial() {
 			return
 		}
 	}
+}
+
+// depositEv routes one cross-shard event from shard s to shard dst's
+// mailbox.
+//
+//vsnoop:hotpath
+func (se *ShardedEngine) depositEv(s, dst int, ev event) {
+	se.sh[s].deposits++
+	// Count before the put: the adaptive termination check must never read
+	// a drained total that covers an uncounted deposit.
+	se.deposited.Add(1)
+	se.boxes[s*se.k+dst].put(ev)
 }
 
 // runAdaptiveAll drives the free-running adaptive mode (adaptive.go) and

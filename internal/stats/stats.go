@@ -154,24 +154,6 @@ func (c *CDF) Merge(other *CDF) {
 	c.sorted = false
 }
 
-// Mark returns a checkpoint of the observation count, for speculative
-// execution engines that may need to discard observations made past a
-// checkpoint. Valid to pair with Truncate only while the CDF is still in
-// insertion order (no query has sorted it) — which holds during a
-// simulation run, where queries happen only at finalization.
-func (c *CDF) Mark() int { return len(c.vals) }
-
-// Truncate discards every observation recorded after the given Mark. It
-// panics if a query sorted the values in between: sorted order no longer
-// corresponds to insertion order, so truncation would drop the wrong
-// observations.
-func (c *CDF) Truncate(mark int) {
-	if c.sorted && mark != len(c.vals) {
-		panic("stats: CDF.Truncate after a query sorted the observations")
-	}
-	c.vals = c.vals[:mark]
-}
-
 func (c *CDF) ensureSorted() {
 	if !c.sorted {
 		sort.Float64s(c.vals)

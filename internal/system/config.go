@@ -125,15 +125,12 @@ type Config struct {
 	// flag pins the synchronization mode for tests and benchmarks.
 	NoElision bool
 
-	// Mode selects the sharded engine's synchronization engine:
-	// "windowed", "adaptive", "timewarp" (optimistic
-	// checkpoint/rollback), "auto" (pick from the planner's horizon
-	// estimate), or "" for the historical dispatch. Results are
-	// bit-identical for every value — a mode is an execution strategy,
-	// not a different simulation — so Mode is excluded from the public
-	// config hash, like Shards. "timewarp" silently falls back to the
-	// conservative dispatch when the configuration is outside the
-	// optimistic engine's checkpoint coverage.
+	// Mode selects the sharded engine's synchronization engine: "" (the
+	// default dispatch: adaptive free-running unless something observes
+	// window boundaries), "adaptive" (the same), or "windowed" (fully
+	// barriered). Results are bit-identical for every value — a mode is
+	// an execution strategy, not a different simulation — so Mode is
+	// excluded from the public config hash, like Shards.
 	Mode string
 
 	// Cancel, if non-nil, lets another goroutine stop the run early; a
@@ -226,9 +223,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("system: negative Shards")
 	}
 	switch c.Mode {
-	case "", "auto", "windowed", "adaptive", "timewarp":
+	case "", "adaptive", "windowed":
+	case "timewarp", "auto":
+		return fmt.Errorf("system: Mode %q was removed with the optimistic engine; results are identical under the default engine (Mode \"\")", c.Mode)
 	default:
-		return fmt.Errorf("system: unknown Mode %q (want windowed, adaptive, timewarp, or auto)", c.Mode)
+		return fmt.Errorf("system: unknown Mode %q (want \"\", adaptive, or windowed)", c.Mode)
 	}
 	return nil
 }

@@ -144,18 +144,8 @@ type domain struct {
 	// writes onto the setup-preallocated target page.
 	cow map[uint64]mem.Translation
 	// probes is the freelist of holder-classification probes this domain
-	// originates; allProbes is the append-only registry of every probe the
-	// domain ever allocated, so the optimistic engine can checkpoint the
-	// in-flight ones by index.
-	probes    []*holderProbe
-	allProbes []*holderProbe
-
-	// vlist is the authoritative list of vCPUs this domain currently owns
-	// (maintained by the depart/arrive handlers); cowLog records the keys
-	// inserted into the cow overlay since the last commit. Both exist for
-	// the optimistic engine's checkpoints and are only appended outside it.
-	vlist  []*vcpu
-	cowLog []uint64
+	// originates.
+	probes []*holderProbe
 }
 
 // Machine is a fully wired simulated system.
@@ -253,16 +243,6 @@ type Machine struct {
 	fwd []int32 //vsnoop:owned table
 	nv  int
 
-	// Optimistic (timewarp) execution support. twOn gates the undo-log
-	// appends on the migration and COW paths; domShard maps each domain to
-	// the shard executing it; twLog is the per-shard arrival undo log —
-	// chronological, because all of a shard's domains run on one goroutine;
-	// shardState adapts the per-domain model state to sim.ShardState.
-	twOn       bool
-	domShard   []int32
-	twLog      [][]arriveSave //vsnoop:owned table
-	shardState *machineState
-
 	// stepFn/resumeFn are the prebound event handlers for the two hottest
 	// schedulers (per-reference think-time step, delayed reference
 	// resumption); the vCPU rides in the event's arg, so neither allocates.
@@ -305,10 +285,8 @@ func New(cfg Config) (*Machine, error) {
 			k = nd
 		}
 		domShard := make([]int, nd)
-		m.domShard = make([]int32, nd)
 		for d := range domShard {
 			domShard[d] = d % k
-			m.domShard[d] = int32(d % k)
 		}
 		// Lookahead: any cross-domain message crosses at least one mesh hop
 		// (router + link + one flit), and fault delays only add latency.
@@ -410,10 +388,11 @@ func New(cfg Config) (*Machine, error) {
 		m.Net.Partition(nodeDom, engs)
 		// Hand the partition's per-domain cross-traffic horizons to the
 		// sharded engine: adaptive-mode output lookaheads tighter than (or
-		// equal to) the global one. NoElision pins the fully-barriered
-		// windowed protocol instead.
+		// equal to) the global one. Mode "windowed" pins the windowed
+		// protocol instead, and NoElision its fully-barriered form.
 		m.crossHor = m.Net.CrossHorizons()
 		m.sharded.SetDomainLookahead(m.crossHor)
+		m.sharded.Windowed = cfg.Mode == "windowed"
 		m.sharded.DisableElision = cfg.NoElision
 	} else {
 		d := m.doms[0]
@@ -751,7 +730,7 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// initLocationTables (re)derives the per-domain vCPU lists and the own/fwd
+// initLocationTables (re)derives the per-domain vCPU counts and the own/fwd
 // location rows from the mapper's current placement. Called at construction
 // and again when a partitioned run starts, so placement changes between the
 // two (tests relocating by hand) cannot leave the tables stale.
@@ -760,18 +739,15 @@ func (m *Machine) initLocationTables() {
 		return
 	}
 	for _, d := range m.doms {
-		d.vlist = d.vlist[:0]
+		d.nvcpus = 0
 	}
 	for i, v := range m.vcpus {
 		v.dom = m.domOfCore(v.core)
-		v.dom.vlist = append(v.dom.vlist, v)
+		v.dom.nvcpus++
 		for d := range m.doms {
 			m.own[d*m.nv+i] = int32(d) == v.dom.idx
 			m.fwd[d*m.nv+i] = v.dom.idx
 		}
-	}
-	for _, d := range m.doms {
-		d.nvcpus = len(d.vlist)
 	}
 }
 
@@ -1004,24 +980,6 @@ func (m *Machine) runSharded() (*Stats, error) {
 	m.sharded.SetCancel(cfg.Cancel)
 	m.sharded.MaxSteps = cfg.MaxSteps
 	m.initLocationTables()
-	mode := m.resolveMode()
-	m.sharded.Mode = mode
-	if mode == sim.ModeTimewarp {
-		m.twOn = true
-		m.shardState = newMachineState(m)
-		m.sharded.SetShardState(m.shardState)
-		// Arm copy-on-first-touch journals on the bulk structures (cache
-		// sets, memory-controller tables), so a checkpoint costs what the
-		// epoch touched, not what the machine holds.
-		for _, cn := range m.cores {
-			cn.l1.EnableJournal()
-			cn.l2.EnableJournal()
-			cn.tlb.EnableJournal()
-		}
-		for _, mc := range m.mcs {
-			mc.EnableJournal()
-		}
-	}
 	m.running = true
 	if m.syncMode {
 		m.inflight = make([]bool, len(m.vcpus))
@@ -1195,12 +1153,6 @@ func (m *Machine) execute(v *vcpu, cn *coreNode, ref workload.Ref) {
 			if m.cowTargets != nil {
 				key := mem.CowKey(v.id.VM, ref.Page)
 				d.cow[key] = mem.Translation{Host: m.cowTargets[key], Type: mem.PagePrivate}
-				if m.twOn {
-					// The overlay is insert-only (the trap fires once per
-					// domain per page), so an undo log of inserted keys is a
-					// complete checkpoint delta.
-					d.cowLog = append(d.cowLog, key)
-				}
 				st.Cows++
 				for _, ci := range d.cores {
 					m.cores[ci].tlb.Shootdown(v.id.VM, ref.Page)

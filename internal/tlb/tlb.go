@@ -71,11 +71,6 @@ type TLB struct {
 	tick    uint64
 
 	Stats Stats
-
-	// jn is the armed checkpoint journal (nil outside a speculative epoch);
-	// jnStore holds the allocation between epochs. See snapshot.go.
-	jn      *journal
-	jnStore *journal
 }
 
 // New builds a TLB; it panics on invalid geometry.
@@ -105,9 +100,6 @@ func (t *TLB) Lookup(vm mem.VMID, gp mem.GuestPage) (mem.Translation, bool) {
 	for i := range set {
 		e := &set[i]
 		if e.valid && e.guest == gp && (!t.cfg.Tagged || e.vm == vm) && e.vm == vm {
-			if t.jn != nil {
-				t.jsave(uint64(gp) & t.setMask)
-			}
 			t.tick++
 			e.lru = t.tick
 			t.Stats.Hits++
@@ -120,9 +112,6 @@ func (t *TLB) Lookup(vm mem.VMID, gp mem.GuestPage) (mem.Translation, bool) {
 
 // Insert caches a translation after a page walk.
 func (t *TLB) Insert(vm mem.VMID, gp mem.GuestPage, tr mem.Translation) {
-	if t.jn != nil {
-		t.jsave(uint64(gp) & t.setMask)
-	}
 	set := t.set(gp)
 	slot := &set[0]
 	for i := range set {
@@ -146,9 +135,6 @@ func (t *TLB) Insert(vm mem.VMID, gp mem.GuestPage, tr mem.Translation) {
 // Shootdown invalidates one (vm, guest page) entry, as the hypervisor does
 // after copy-on-write or page merging changes the mapping or its type.
 func (t *TLB) Shootdown(vm mem.VMID, gp mem.GuestPage) {
-	if t.jn != nil {
-		t.jsave(uint64(gp) & t.setMask)
-	}
 	set := t.set(gp)
 	for i := range set {
 		e := &set[i]
@@ -163,9 +149,6 @@ func (t *TLB) Shootdown(vm mem.VMID, gp mem.GuestPage) {
 // FlushVM drops every entry of vm (context switch on an untagged TLB, or
 // VM teardown).
 func (t *TLB) FlushVM(vm mem.VMID) {
-	if t.jn != nil {
-		t.jsaveAll()
-	}
 	n := 0
 	for s := range t.sets {
 		set := t.sets[s]
@@ -183,9 +166,6 @@ func (t *TLB) FlushVM(vm mem.VMID) {
 
 // FlushAll empties the TLB.
 func (t *TLB) FlushAll() {
-	if t.jn != nil {
-		t.jsaveAll()
-	}
 	for s := range t.sets {
 		set := t.sets[s]
 		for i := range set {

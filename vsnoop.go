@@ -146,18 +146,11 @@ type Config struct {
 	// without it; only synchronization telemetry and wall-clock change.
 	NoElision bool
 
-	// Mode selects the sharded engine's synchronization engine:
-	// "windowed" (fully barriered), "adaptive" (conservative
-	// null-message free-run), "timewarp" (optimistic execution with
-	// flat-slice checkpoints, rollback, and GVT commit), "auto" (pick
-	// per config from the partition planner's horizon estimate), or ""
-	// for the historical dispatch. Results are bit-identical for every
-	// value — committed timewarp state matches serial execution at every
-	// commit point by construction — so, like Shards, Mode is excluded
-	// from Hash. "timewarp" on a configuration outside the optimistic
-	// engine's checkpoint coverage (directory protocol, RegionScout,
-	// fault plans, invariant checks, trace replay) silently falls back
-	// to the conservative dispatch.
+	// Mode selects the sharded engine's synchronization engine: "" (the
+	// default dispatch), "adaptive" (conservative null-message free-run,
+	// the same as ""), or "windowed" (fully barriered). Results are
+	// bit-identical for every value, so, like Shards, Mode is excluded
+	// from Hash.
 	Mode string
 
 	Seed uint64
