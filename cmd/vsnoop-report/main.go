@@ -132,8 +132,8 @@ func main() {
 	ev := vsnoop.TotalEventsFired()
 	fmt.Fprintf(w, "\ncompleted in %s — %d events (%.0f events/sec)\n",
 		wall.Round(time.Millisecond), ev, float64(ev)/wall.Seconds())
-	if windows, elided, _, widthSum := vsnoop.TotalSyncCounters(); windows > 0 {
-		fmt.Fprintf(w, "sync: %d windows, %d barriers elided, mean window %.0f cycles (shards=%d)\n",
-			windows, elided, float64(widthSum)/float64(windows), exp.Shards)
+	if windows, elided, _, widthSum, yields := vsnoop.TotalSyncCounters(); windows > 0 {
+		fmt.Fprintf(w, "sync: %d windows, %d barriers elided, mean window %.0f cycles, %d yields (shards=%d)\n",
+			windows, elided, float64(widthSum)/float64(windows), yields, exp.Shards)
 	}
 }

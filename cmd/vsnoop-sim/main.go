@@ -219,8 +219,8 @@ func main() {
 		res.EventsFired, wall.Round(time.Millisecond),
 		float64(res.EventsFired)/wall.Seconds(), cfg.Shards)
 	if sy := st.Sync; sy.Windows > 0 {
-		fmt.Printf("sync: %d windows, %d barriers elided, mean window %.0f cycles (domains=%d, shards=%d)\n",
-			sy.Windows, sy.ElidedBarriers, sy.MeanWindowWidth(),
+		fmt.Printf("sync: %d windows, %d barriers elided, mean window %.0f cycles, %d yields (domains=%d, shards=%d)\n",
+			sy.Windows, sy.ElidedBarriers, sy.MeanWindowWidth(), sy.Yields,
 			vsnoop.PlannedDomains(cfg), cfg.Shards)
 	}
 }

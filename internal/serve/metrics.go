@@ -72,7 +72,7 @@ func (m *metrics) render(w io.Writer, queueDepth int, ready bool, shards int,
 
 	c("vsnoop_engine_events_total", "Simulator events executed by every run in this process.",
 		vsnoop.TotalEventsFired())
-	windows, elided, waits, widthSum := vsnoop.TotalSyncCounters()
+	windows, elided, waits, widthSum, _ := vsnoop.TotalSyncCounters()
 	c("vsnoop_engine_sync_windows_total", "Sharded-engine synchronization windows.", windows)
 	c("vsnoop_engine_sync_elided_barriers_total", "Quiet-window exchange barriers elided.", elided)
 	c("vsnoop_engine_sync_barrier_waits_total", "Shard arrivals at synchronization barriers.", waits)

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // runPingPong drives a synthetic 4-domain workload on a ShardedEngine:
@@ -208,59 +210,156 @@ func TestWindowedQuietElision(t *testing.T) {
 }
 
 // TestMailboxZeroAllocSteadyState is the allocation gate for the deposit
-// path: once a mailbox's backing array (and the destination heap) have
-// reached their working-set size, put and a one-pass batch drain must not
-// allocate at all. The drained events are fired with Step, which returns
-// their queue nodes to the engine's free list.
+// path: once the outbox, the mailbox arrays and the destination queue have
+// reached their working-set size, staging cross-shard events (Engine.insert
+// into the outbox), flushing them (one counted batch per mailbox) and a
+// one-pass batch drain must not allocate at all. The drained events are
+// fired with Step, which returns their queue nodes to the engine's free
+// list.
 func TestMailboxZeroAllocSteadyState(t *testing.T) {
-	var mb mailbox
-	eng := NewEngine()
+	se := NewSharded([]int{0, 1}, 6)
+	src, dst := se.Eng(0), se.Eng(1)
+	src.SetCurDomain(0)
+	box := &se.boxes[0*2+1]
+	w := &se.sh[1].wait
 	fn := func(_ interface{}, _ uint64) {}
-
-	// Pre-grow the mailbox slice and the queue's slab.
-	for i := 0; i < 512; i++ {
-		mb.put(event{at: Cycle(i), key: uint64(i), fn2: fn})
+	batch := func(n int) {
+		for i := 0; i < n; i++ {
+			src.ScheduleFnAtDom(Cycle(i), 1, fn, nil, uint64(i))
+		}
+		se.flush(0)
+		if got := box.drain(dst, w); got != n {
+			t.Fatalf("drain returned %d, want %d", got, n)
+		}
+		for dst.Step() {
+		}
 	}
-	mb.drain(eng)
-	for eng.Step() {
+
+	// Pre-grow the outbox and mailbox arrays (they swap on delivery into an
+	// empty box, so both reach the batch size) and the queue's slab.
+	for i := 0; i < 4; i++ {
+		batch(512)
 	}
 
-	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			mb.put(event{at: Cycle(i), key: uint64(i), fn2: fn})
-		}
-		if got := mb.drain(eng); got != 64 {
-			t.Fatalf("drain returned %d, want 64", got)
-		}
-		for eng.Step() {
-		}
-	})
+	avg := testing.AllocsPerRun(100, func() { batch(64) })
 	if avg != 0 {
-		t.Fatalf("steady-state put+drain allocates %.2f allocs per 64-event batch, want 0", avg)
+		t.Fatalf("steady-state stage+flush+drain allocates %.2f allocs per 64-event batch, want 0", avg)
+	}
+	if got := se.deposited.Load(); got != 4*512+101*64 {
+		t.Fatalf("deposited %d after the batches, want %d", got, 4*512+101*64)
 	}
 }
 
 // TestMailboxDrainEmptyIsCheap pins the empty-box fast path: draining a
 // box that was never written returns zero without taking the lock (the
 // atomic length probe short-circuits), so idle shards polling K-1 empty
-// mailboxes per round do no spinlock work.
+// mailboxes per round do no spinlock work. A delivered batch is then
+// drained whole, and the box reads empty again.
 func TestMailboxDrainEmptyIsCheap(t *testing.T) {
 	var mb mailbox
+	w := &NewSharded([]int{0, 1}, 6).sh[1].wait
 	eng := NewEngine()
 	mb.lock.Store(1) // a drain that took the lock would spin forever
 	for i := 0; i < 3; i++ {
-		if got := mb.drain(eng); got != 0 {
+		if got := mb.drain(eng, w); got != 0 {
 			t.Fatalf("empty drain returned %d", got)
 		}
 	}
 	mb.lock.Store(0)
-	mb.put(event{at: 1, key: 1})
-	if got := mb.drain(eng); got != 1 {
-		t.Fatalf("drain after put returned %d, want 1", got)
+	rest := mb.deliver([]event{{at: 1, key: 1}, {at: 2, key: 2}}, w)
+	if len(rest) != 0 {
+		t.Fatalf("deliver returned a %d-event buffer, want empty", len(rest))
 	}
-	if got := mb.drain(eng); got != 0 {
+	if got := mb.drain(eng, w); got != 2 {
+		t.Fatalf("drain after deliver returned %d, want 2", got)
+	}
+	if got := mb.drain(eng, w); got != 0 {
 		t.Fatalf("second drain returned %d, want 0", got)
+	}
+	if w.yields != 0 {
+		t.Fatalf("uncontended box took %d yields", w.yields)
 	}
 }
 
-var _ = fmt.Sprintf // keep fmt imported for debugging edits
+// TestAdaptiveOversubscribed runs the adaptive protocol with eight shards
+// on one and on two processors: idle shards must give the processors up
+// often enough for the shard holding the work to run. The traces must
+// still match the serial run. A hang here (the package's -timeout) means
+// the waits stopped yielding.
+func TestAdaptiveOversubscribed(t *testing.T) {
+	serial := make([]int, 8)
+	ref, refFired, _ := runPingPong(t, serial, false, nil)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			logs, fired, tele := runPingPong(t, []int{0, 1, 2, 3, 4, 5, 6, 7}, false, nil)
+			if fired != refFired || !reflect.DeepEqual(logs, ref) {
+				t.Fatalf("K=8 on %d processors diverged from K=1: fired %d vs %d", procs, fired, refFired)
+			}
+			if tele.BarrierWaits != 0 || tele.CrossDeposits == 0 {
+				t.Errorf("want an adaptive run with cross deposits: %+v", tele)
+			}
+			if tele.Yields == 0 {
+				t.Errorf("eight shards shared %d processors without a single yield: %+v", procs, tele)
+			}
+		})
+	}
+}
+
+// TestSerialRunTakesNoYields pins the Yields counter's zero: K=1 never
+// waits, in either protocol, so it never yields.
+func TestSerialRunTakesNoYields(t *testing.T) {
+	var obs []Cycle
+	for _, o := range []*[]Cycle{nil, &obs} {
+		_, fired, tele := runPingPong(t, []int{0, 0, 0, 0}, false, o)
+		if fired == 0 || tele.Yields != 0 {
+			t.Fatalf("K=1 run (observer %v): fired %d, telemetry %+v", o != nil, fired, tele)
+		}
+	}
+}
+
+// TestSyncLayout pins the padding of the structs shards poll and write
+// concurrently: one shard slot and one mailbox per 64-byte line, and the
+// process-wide parked word alone on its line.
+func TestSyncLayout(t *testing.T) {
+	if n := unsafe.Sizeof(shardSlot{}); n != 64 {
+		t.Errorf("shardSlot is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(mailbox{}); n != 64 {
+		t.Errorf("mailbox is %d bytes, want 64", n)
+	}
+	if off, n := unsafe.Offsetof(parked.n), unsafe.Sizeof(parked); off < 64 || n-off < 64 {
+		t.Errorf("parked word at offset %d of %d bytes: a 64-byte line around it can reach past the padding", off, n)
+	}
+}
+
+// TestPauseSpinBound pins the wait primitive's bounds: a condition that
+// already holds costs one poll and no yield; one that never holds costs
+// spinPolls polls and one yield, or a single poll while any shard in the
+// process (of this engine or another) is parked in a yield. The parked
+// count returns to its old value once the yields are over.
+func TestPauseSpinBound(t *testing.T) {
+	var w waiter
+	base := parked.n.Load()
+	polls := 0
+	if !w.pause(func() bool { polls++; return true }) || polls != 1 || w.yields != 0 {
+		t.Fatalf("pause on a true condition: %d polls, %d yields; want 1 poll, no yield", polls, w.yields)
+	}
+	for _, tc := range []struct {
+		others int32 // shards parked elsewhere during the pause
+		polls  int
+	}{{0, spinPolls}, {1, 1}} {
+		parked.n.Add(tc.others)
+		polls = 0
+		y := w.yields
+		ok := w.pause(func() bool { polls++; return false })
+		parked.n.Add(-tc.others)
+		if ok || polls != tc.polls || w.yields != y+1 {
+			t.Fatalf("pause on a false condition with %d others parked: %d polls, %d yields; want %d polls, 1 yield",
+				tc.others, polls, w.yields-y, tc.polls)
+		}
+	}
+	if got := parked.n.Load(); got != base {
+		t.Fatalf("parked count %d after the yields returned, want %d", got, base)
+	}
+}

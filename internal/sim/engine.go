@@ -49,10 +49,17 @@ type Engine struct {
 	// schedule-order keys are drawn from per-domain counters, so the tie
 	// order is independent of how domains are spread over engines. domSeq
 	// is nil in single-domain (legacy) mode, where key == seq exactly.
-	domSeq  []uint64
-	curDom  int32
-	local   []bool         // local[d]: domain d executes on this engine
-	deposit func(ev event) // sink for events bound to non-local domains
+	domSeq []uint64
+	curDom int32
+
+	// Sharded mode (SetShard): owner[d] is the shard that executes domain
+	// d and shard is this engine's own index. An event bound to another
+	// shard's domain is staged in out[owner[d]] and handed over in one
+	// batch per synchronization round (ShardedEngine.flush). owner is nil
+	// when every domain executes here.
+	owner []int32
+	shard int32
+	out   [][]event
 
 	// No-forward-progress watchdog: when progressLimit > 0, StepChecked
 	// fails after that many events fire without a Progress() mark, turning a
@@ -156,18 +163,21 @@ func (e *Engine) nextKey() uint64 {
 	return uint64(d)<<48 | e.domSeq[d]
 }
 
-// insert draws the event's tie-break key and queues it locally, or hands
-// it to the deposit sink when its executing domain lives on another
-// engine. A wheel-bound event is written field by field straight into its
-// slab node: building a 64-byte event and passing it down by value costs
-// a store-forwarding stall per schedule.
+// insert draws the event's tie-break key and queues it locally, or stages
+// it in the owning shard's outbox when its executing domain lives on
+// another engine. Wheel-bound and staged events are written field by
+// field straight into their slot: building a 64-byte event and passing it
+// down by value costs a store-forwarding stall per schedule.
 //
 //vsnoop:hotpath
 func (e *Engine) insert(at Cycle, dom int32, fn func(), fn2 HandlerFn, arg interface{}, u uint64) {
 	key := e.nextKey()
 	switch {
-	case e.local != nil && !e.local[dom]:
-		e.deposit(event{at: at, key: key, dom: dom, fn: fn, fn2: fn2, arg: arg, u: u})
+	case e.owner != nil && e.owner[dom] != e.shard:
+		dst := e.owner[dom]
+		e.out[dst] = append(e.out[dst], event{})
+		ev := &e.out[dst][len(e.out[dst])-1]
+		ev.at, ev.key, ev.dom, ev.fn, ev.fn2, ev.arg, ev.u = at, key, dom, fn, fn2, arg, u
 	case !inWheel(at, e.now):
 		e.q.heapPush(event{at: at, key: key, dom: dom, fn: fn, fn2: fn2, arg: arg, u: u})
 	default:
@@ -176,16 +186,27 @@ func (e *Engine) insert(at Cycle, dom int32, fn func(), fn2 HandlerFn, arg inter
 	}
 }
 
-// SetDomains switches the engine to domain mode with nd domains. local
-// marks the domains this engine executes (nil = all); deposit receives
-// events bound elsewhere. Call before any event is scheduled.
-func (e *Engine) SetDomains(nd int, local []bool, deposit func(ev event)) {
+// SetDomains switches the engine to domain mode with nd domains, all
+// executed here. Call before any event is scheduled.
+func (e *Engine) SetDomains(nd int) {
 	if nd <= 1 {
 		return
 	}
 	e.domSeq = make([]uint64, nd)
-	e.local = local
-	e.deposit = deposit
+}
+
+// SetShard makes the engine shard self of a sharded engine: owner[d] is
+// the shard that executes domain d (len(owner) domains, shards dense from
+// 0), and events bound to another shard's domain are staged in that
+// shard's outbox instead of the local queue. Call before any event is
+// scheduled.
+func (e *Engine) SetShard(owner []int32, self int32, shards int) {
+	e.SetDomains(len(owner))
+	if e.domSeq == nil || shards <= 1 {
+		return
+	}
+	e.owner, e.shard = owner, self
+	e.out = make([][]event, shards)
 }
 
 // SetCurDomain sets the scheduling domain used for events scheduled outside

@@ -38,7 +38,7 @@ func newQueueModel(t *testing.T, seed uint64, domains int) *queueModel {
 	if domains > 0 {
 		// One extra domain lends its prefix to deposit keys: no event ever
 		// executes there, so the engine never draws a colliding key.
-		m.e.SetDomains(domains+1, nil, nil)
+		m.e.SetDomains(domains + 1)
 		m.domSeq = make([]uint64, domains+1)
 	}
 	m.fn = m.fire

@@ -12,9 +12,77 @@ import (
 // infCycle marks "no pending work" in window-minimum folds.
 const infCycle = Cycle(math.MaxUint64)
 
+// spinPolls caps the polls of one wait before it yields. It is fixed:
+// nothing in the engine reads the host's processor count.
+const spinPolls = 1024
+
+// parkedCount is a count padded onto its own cache line: every spin poll
+// loads it, so it must not share a line with words other shards write.
+type parkedCount struct {
+	_ [64]byte
+	n atomic.Int32 //lint:shardsafe scheduling hint shared by every engine in the process; no simulation state reads it
+	_ [60]byte
+}
+
+// parked counts the shard goroutines, of every sharded engine in the
+// process, that are inside a yield (waiter.yield): runnable, but waiting
+// for a processor. It is process-wide because engines that run side by
+// side (an experiment pool, the serve workers) share the processors: a
+// count per engine would not see another engine's waiting shards, and its
+// waits would spin out their full bound.
+var parked parkedCount
+
+// waiter is the one wait primitive of the sharded engine: the adaptive
+// no-progress wait, the barrier wait and the mailbox spinlock all go
+// through pause. A waiter belongs to one shard goroutine, so its count is
+// a plain field.
+type waiter struct {
+	yields uint64 // scheduler yields taken (SyncStats.Yields)
+}
+
+// pause polls ready and reports true as soon as it holds. It polls at
+// least once and at most spinPolls times; then it yields the processor
+// once and reports false, leaving the caller to re-examine its state. It
+// stops polling early while any shard in the process is parked in a
+// yield: that shard is runnable but has no processor, so this one is
+// better given to it than spent polling for a peer that may be the one
+// without a processor.
+func (w *waiter) pause(ready func() bool) bool {
+	for i := 0; i < spinPolls; i++ {
+		if ready() {
+			return true
+		}
+		if parked.n.Load() != 0 {
+			break
+		}
+	}
+	w.yield()
+	return false
+}
+
+// yield gives the processor up, counted in parked for as long as the
+// shard is off its processor.
+func (w *waiter) yield() {
+	w.yields++
+	parked.n.Add(1)
+	runtime.Gosched()
+	parked.n.Add(-1)
+}
+
+// until blocks until ready holds.
+func (w *waiter) until(ready func() bool) {
+	for !w.pause(ready) {
+	}
+}
+
+// lock acquires the spinlock word l (0 free, 1 held).
+func (w *waiter) lock(l *atomic.Uint32) {
+	w.until(func() bool { return l.Load() == 0 && l.CompareAndSwap(0, 1) })
+}
+
 // barrier is a sense-reversing central barrier for a handful of shard
 // goroutines. The last arriver runs the leader closure (single-threaded:
-// everyone else is spinning) and then releases the generation; the atomic
+// everyone else is waiting) and then releases the generation; the atomic
 // generation publish orders the leader's plain writes before the waiters'
 // reads, so window state needs no further synchronization.
 type barrier struct {
@@ -22,7 +90,7 @@ type barrier struct {
 	gen     atomic.Uint32
 }
 
-func (b *barrier) wait(k int32, leader func()) {
+func (b *barrier) wait(k int32, leader func(), w *waiter) {
 	g := b.gen.Load()
 	if b.arrived.Add(1) == k {
 		b.arrived.Store(0)
@@ -32,11 +100,7 @@ func (b *barrier) wait(k int32, leader func()) {
 		b.gen.Add(1)
 		return
 	}
-	for b.gen.Load() == g {
-		// Gosched (not a pure spin) keeps K shards correct, if slow, even
-		// on a machine with fewer cores than shards.
-		runtime.Gosched()
-	}
+	w.until(func() bool { return b.gen.Load() != g })
 }
 
 // ShardedEngine runs a domain-partitioned simulation on K event queues —
@@ -81,17 +145,19 @@ type ShardedEngine struct {
 	sh []shardSlot
 
 	// boxes[src*k+dst] holds events deposited by shard src for shard dst.
-	// In windowed mode deposits happen before barrier A and drains after
+	// In windowed mode deliveries happen before barrier A and drains after
 	// it, so the spinlock is uncontended; in adaptive mode the lock and the
 	// EOT protocol order them.
 	boxes []mailbox
 
 	// deposited/drained/busy are the global termination counters of the
 	// adaptive mode (see the protocol comment in adaptive.go): deposited
-	// is incremented before each mailbox put, drained after a consumer
-	// has pushed a drain's events, and busy tracks how many shards may
-	// still execute or deposit. An idle shard exits only after a double
-	// collect sees busy == 0 bracketed by matching deposited/drained.
+	// is raised by each flushed batch before its mailbox append, drained
+	// after a consumer has pushed a drain's events, and busy tracks how
+	// many shards may still execute or deposit. An idle shard exits only
+	// after a double collect sees busy == 0 bracketed by matching
+	// deposited/drained. The windowed barrier-A leader reads deposited too,
+	// to tell a quiet window from one with exchange work.
 	deposited atomic.Uint64
 	drained   atomic.Uint64
 	busy      atomic.Int64
@@ -143,7 +209,6 @@ type ShardedEngine struct {
 // domain-to-shard assignment (len nd, shard indices dense from 0) and
 // lookahead. Components must be wired to Eng(domShard[d]) for their domain.
 func NewSharded(domShard []int, lookahead Cycle) *ShardedEngine {
-	nd := len(domShard)
 	k := 0
 	for _, s := range domShard {
 		if s+1 > k {
@@ -160,18 +225,14 @@ func NewSharded(domShard []int, lookahead Cycle) *ShardedEngine {
 		boxes:     make([]mailbox, k*k),
 		errs:      make([]error, k),
 	}
+	owner := make([]int32, len(domShard))
+	for d, sh := range domShard {
+		owner[d] = int32(sh)
+	}
 	for s := 0; s < k; s++ {
 		se.srcLook[s] = lookahead
-		s := s
-		local := make([]bool, nd)
-		for d, sh := range domShard {
-			local[d] = sh == s
-		}
-		eng := NewEngine()
-		eng.SetDomains(nd, local, func(ev event) {
-			se.depositEv(s, se.domShard[ev.dom], ev)
-		})
-		se.engs[s] = eng
+		se.engs[s] = NewEngine()
+		se.engs[s].SetShard(owner, int32(s), k)
 	}
 	return se
 }
@@ -263,8 +324,9 @@ func (se *ShardedEngine) Run() error {
 		se.runAdaptiveAll()
 	}
 	se.fired = 0
-	for _, e := range se.engs {
+	for s, e := range se.engs {
 		se.fired += e.Fired()
+		se.tele.Yields += se.sh[s].wait.yields
 	}
 	return se.err
 }
@@ -295,16 +357,21 @@ func (se *ShardedEngine) runSerial() {
 	}
 }
 
-// depositEv routes one cross-shard event from shard s to shard dst's
-// mailbox.
-//
-//vsnoop:hotpath
-func (se *ShardedEngine) depositEv(s, dst int, ev event) {
-	se.sh[s].deposits++
-	// Count before the put: the adaptive termination check must never read
-	// a drained total that covers an uncounted deposit.
-	se.deposited.Add(1)
-	se.boxes[s*se.k+dst].put(ev)
+// flush hands shard s's staged cross-shard events to their mailboxes, one
+// batch per destination: count the batch into deposited, then append it
+// under the box lock. Counting first keeps the adaptive termination
+// collect from ever reading a drained total that covers an uncounted
+// deposit.
+func (se *ShardedEngine) flush(s int) {
+	out := se.engs[s].out
+	w := &se.sh[s].wait
+	for dst, batch := range out {
+		if len(batch) == 0 {
+			continue
+		}
+		se.deposited.Add(uint64(len(batch)))
+		out[dst] = se.boxes[s*se.k+dst].deliver(batch, w)
+	}
 }
 
 // runAdaptiveAll drives the free-running adaptive mode (adaptive.go) and
@@ -337,21 +404,23 @@ func (se *ShardedEngine) runAdaptiveAll() {
 func (se *ShardedEngine) runShard(s int) {
 	eng := se.engs[s]
 	k := int32(se.k)
+	w := &se.sh[s].wait
 	for {
 		// Publish the window error before barrier A: the elision leader
 		// may fold there, and the barrier orders the write.
 		se.errs[s] = eng.RunWindow(se.wend)
+		se.flush(s)
 		// Barrier A: after it, every deposit of this window is in its
 		// mailbox and no shard is executing. The leader decides whether
 		// the exchange (drain + barrier B) is needed at all.
-		se.barA.wait(k, se.leadA)
+		se.barA.wait(k, se.leadA, w)
 		if !se.skipB {
 			for src := 0; src < se.k; src++ {
-				se.boxes[src*se.k+s].drain(eng)
+				se.boxes[src*se.k+s].drain(eng, w)
 			}
 			// Barrier B: the leader folds errors, checks bounds, and
 			// advances the window to the global minimum pending timestamp.
-			se.barB.wait(k, se.leadB)
+			se.barB.wait(k, se.leadB, w)
 		}
 		if se.done {
 			return
@@ -359,17 +428,13 @@ func (se *ShardedEngine) runShard(s int) {
 	}
 }
 
-// leadA runs on the barrier-A leader with every shard quiesced. If no shard
-// deposited anything this window, the mailboxes are all empty and the drain
-// plus barrier B buy nothing: fold here and let everyone skip straight to
-// the next window.
+// leadA runs on the barrier-A leader with every shard quiesced and
+// flushed. If the deposited counter did not move this window, the
+// mailboxes are all empty and the drain plus barrier B buy nothing: fold
+// here and let everyone skip straight to the next window.
 func (se *ShardedEngine) leadA() {
 	se.tele.BarrierWaits += uint64(se.k)
-	var dep uint64
-	for s := range se.sh {
-		dep += se.sh[s].deposits
-		se.sh[s].deposits = 0
-	}
+	dep := se.deposited.Load() - se.tele.CrossDeposits
 	se.tele.CrossDeposits += dep
 	if dep == 0 && !se.DisableElision {
 		se.skipB = true

@@ -24,14 +24,16 @@ var (
 	totalSyncElided  atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
 	totalSyncWaits   atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
 	totalSyncWidth   atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
+	totalSyncYields  atomic.Uint64 //lint:shardsafe process-wide CLI telemetry, written once per run at finalize, never read by sim code
 )
 
 // TotalSyncStats returns the synchronization telemetry summed over every
 // sharded run in this process so far (windows, elided barriers, barrier
-// waits, window-width sum in cycles).
-func TotalSyncStats() (windows, elided, waits, widthSum uint64) {
+// waits, window-width sum in cycles, scheduler yields taken by shard
+// waits).
+func TotalSyncStats() (windows, elided, waits, widthSum, yields uint64) {
 	return totalSyncWindows.Load(), totalSyncElided.Load(),
-		totalSyncWaits.Load(), totalSyncWidth.Load()
+		totalSyncWaits.Load(), totalSyncWidth.Load(), totalSyncYields.Load()
 }
 
 // Stats aggregates everything the paper's tables and figures need from one
@@ -505,6 +507,7 @@ func (m *Machine) finalizeSharded() {
 	totalSyncElided.Add(s.Sync.ElidedBarriers)
 	totalSyncWaits.Add(s.Sync.BarrierWaits)
 	totalSyncWidth.Add(s.Sync.WindowWidthSum)
+	totalSyncYields.Add(s.Sync.Yields)
 }
 
 // SnoopsPerTransaction returns the mean cores snooped per transaction.

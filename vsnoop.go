@@ -358,9 +358,9 @@ func TotalEventsFired() uint64 { return system.TotalEventsFired() }
 // TotalSyncCounters returns the sharded-engine synchronization telemetry
 // summed over every run in this process so far: synchronization windows,
 // elided exchange barriers, barrier waits, and the window-width sum in
-// cycles (widthSum/windows = mean window width). All zero when every run
-// executed serially.
-func TotalSyncCounters() (windows, elided, waits, widthSum uint64) {
+// cycles (widthSum/windows = mean window width), and the scheduler yields
+// taken by shard waits. All zero when every run executed serially.
+func TotalSyncCounters() (windows, elided, waits, widthSum, yields uint64) {
 	return system.TotalSyncStats()
 }
 
